@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import DilationMap, FieldError, PolyMap, eval_field
+from .fields import TOL_HOM, DilationMap, FieldError, PolyMap, eval_field
 from .rates import (
     BoundedDelay,
     DelayFunction,
@@ -36,6 +36,7 @@ ANALYTIC = "analytic"
 NUMERIC = "numeric-estimate"
 
 MARGIN_EPS = 1e-12
+TOL_ROUND = 1e-12
 
 STABLE_CERTIFIED = "STABLE_CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -81,16 +82,18 @@ def _analytic_L(mu, delay):
 
 
 def _analytic_D(mu, s):
-    # s = p / r_star, the exponent deficit in mu'(t)/mu(t)**(1-s)
+    # s = p / r_star, the exponent deficit in mu'(t)/mu(t)**(1-s).  p comes
+    # from float exponent arithmetic, so a threshold is met one-sidedly: from
+    # below within TOL_HOM, where the threshold's D is the larger (the
+    # conservative) value, from above only within rounding noise, since past
+    # the threshold D is infinite
     if isinstance(mu, ExponentialMu):
-        return mu.eps if s == 0 else np.inf
+        return mu.eps if -TOL_HOM <= s <= TOL_ROUND else np.inf
     if isinstance(mu, PowerMu):
         bs = mu.beta * s
-        if bs < 1.0:
-            return 0.0
-        if bs == 1.0:
-            return mu.beta
-        return np.inf
+        if bs > 1.0 + TOL_ROUND:
+            return np.inf
+        return mu.beta if bs >= 1.0 - TOL_HOM else 0.0
     if isinstance(mu, (LogMu, LogLogMu)):
         return 0.0
     return None
@@ -108,7 +111,7 @@ def _ratio_samples(mu, delay, gexps):
     if hi < np.inf:
         if hi <= lo * 10.0:
             raise RateError("tabulated domain too short for limit estimation")
-        ts = np.exp(np.linspace(np.log(max(lo * 1.001, hi / 1e8)), np.log(hi), 8))
+        ts = np.geomspace(max(lo * 1.001, hi / 1e8), hi, 8)
     else:
         ts = 10.0 ** np.asarray(gexps, dtype=float)
         ts = ts[ts >= lo]
@@ -177,7 +180,7 @@ def estimate_D(mu: MuFunction, s: float):
         lo = max(getattr(mu, "t_min", 0.0), 1e-6)
         if hi <= lo * 10.0:
             raise RateError("tabulated domain too short for limit estimation")
-        ts = np.exp(np.linspace(np.log(hi / 1e6), np.log(hi), 8))
+        ts = np.geomspace(hi / 1e6, hi, 8)
         ts = ts[ts > lo]
     else:
         ts = 10.0 ** np.asarray(_NARROW_EXPS)
@@ -234,12 +237,12 @@ def criterion_margins(fbar: PolyMap, gbar: PolyMap, xi, r: DilationMap,
     xi = np.asarray(xi, dtype=float)
     if np.any(xi <= 0):
         raise FieldError("xi must be strictly positive")
-    n = fbar.n
-    if not limits.finite():
-        return np.full(n, np.inf)
     r_star = float(r_star)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Lfac = np.float64(limits.L) ** ((float(p) + 1.0) / r_star)
+    if not (limits.finite() and np.isfinite(Lfac)):
+        return np.full(fbar.n, np.inf)
     rv = np.asarray(r.r)
-    Lfac = limits.L ** ((float(p) + 1.0) / r_star)
     fb = eval_field(fbar, xi) / xi
     gb = eval_field(gbar, xi) / xi
     return (r_star / rv) * (fb + Lfac * gb) + limits.D
@@ -312,45 +315,24 @@ def evaluate_criterion(fbar, gbar, xi, r: DilationMap, r_star, p,
     )
 
 
-@dataclass
-class PresetReport:
-    certified: bool
-    condition_values: np.ndarray
-    rate_statement: str
-
-    def to_dict(self):
-        return {
-            "certified": self.certified,
-            "condition_values": np.asarray(self.condition_values).tolist(),
-            "rate": self.rate_statement,
-        }
-
-
-def _degree_zero_condition(fbar, gbar, xi):
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi <= 0):
-        raise FieldError("xi must be strictly positive")
-    return eval_field(fbar, xi) + eval_field(gbar, xi)
-
-
-def preset_log_stability(fbar, gbar, xi, p=0.0) -> PresetReport:
-    """Degree-zero shortcut: fbar_j(xi) + gbar_j(xi) < 0 for all j gives
-    z_j = O(1/ln(t+1)) under delays tau(t) <= t - t/ln(t)."""
+def _degree_zero_preset(fbar, gbar, xi, p, mu, delay):
     if p != 0.0:
-        raise FieldError("log-stability preset requires degree p = 0")
-    cond = _degree_zero_condition(fbar, gbar, xi)
-    return PresetReport(bool(np.all(cond < -MARGIN_EPS)), cond, "z_j = O(1/ln(t+1))")
+        raise FieldError("the log-stability presets require degree p = 0")
+    r = DilationMap((1.0,) * fbar.n)
+    return evaluate_criterion(fbar, gbar, xi, r, 1.0, 0.0, compute_limits(mu, delay, 0.0, 1.0))
 
 
-def preset_loglog_stability(fbar, gbar, xi, alpha, p=0.0) -> PresetReport:
+def preset_log_stability(fbar, gbar, xi, p=0.0) -> CriterionReport:
+    """Degree-zero shortcut: fbar_j(xi) + gbar_j(xi) < 0 for all j gives
+    z_j = O(1/ln(t+1)) under delays tau(t) <= t - t/ln(t); the criterion
+    with mu = ln(1+t), that delay, r = 1 and r* = 1 (so L = 1, D = 0)."""
+    return _degree_zero_preset(fbar, gbar, xi, p, LogMu(), LogFractionDelay())
+
+
+def preset_loglog_stability(fbar, gbar, xi, alpha, p=0.0) -> CriterionReport:
     """Same condition under tau(t) <= t - t**alpha, with the doubly
     logarithmic rate z_j = O(1/ln(ln(t+3)))."""
-    if p != 0.0:
-        raise FieldError("log-log-stability preset requires degree p = 0")
-    if not 0.0 < float(alpha) < 1.0:
-        raise FieldError("alpha must lie in (0, 1)")
-    cond = _degree_zero_condition(fbar, gbar, xi)
-    return PresetReport(bool(np.all(cond < -MARGIN_EPS)), cond, "z_j = O(1/ln(ln(t+3)))")
+    return _degree_zero_preset(fbar, gbar, xi, p, LogLogMu(), PowerLagDelay(alpha))
 
 
 def search_xi(fbar, gbar, r: DilationMap, r_star, p, limits: LimitPair,

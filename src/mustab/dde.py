@@ -199,10 +199,6 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
     return Trajectory(ts, np.vstack(xs), np.vstack(fs), flagged)
 
 
-def sample(traj: Trajectory, t):
-    return traj.sample(t)
-
-
 @dataclass
 class MonitorReport:
     ts: np.ndarray

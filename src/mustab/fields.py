@@ -43,135 +43,109 @@ class Monomial:
 
 
 class PolyMap:
-    """A vector field with monomial components, kept in canonical form.
+    """A vector field with monomial components, stored as one term table.
 
-    Canonical means like terms are merged and zero terms dropped, so within
-    one component the exponent vectors are pairwise distinct.
+    Term t is ``C[t] * prod_j x_j**E[t, j]`` in component ``k[t]``, and
+    ``K`` is the one-hot term-to-component matrix.  Like terms are merged,
+    zero terms dropped and the rest sorted by (component, exponents), so
+    equal maps have equal tables.
     """
 
     def __init__(self, n, components, allow_negative_exponents=False):
-        self.n = int(n)
-        if len(components) != self.n:
-            raise FieldError(
-                "expected %d components, got %d" % (self.n, len(components))
-            )
-        canon = []
-        for i, terms in enumerate(components):
-            merged = {}
-            for term in terms:
+        self.n = n = int(n)
+        if len(components) != n:
+            raise FieldError("expected %d components, got %d" % (n, len(components)))
+        terms = []
+        for i, comp in enumerate(components):
+            for term in comp:
                 if not isinstance(term, Monomial):
                     term = Monomial(term[0], term[1])
-                if len(term.exponents) != self.n:
+                if len(term.exponents) != n:
                     raise FieldError(
                         "component %d: exponent vector of length %d, expected %d"
-                        % (i, len(term.exponents), self.n)
+                        % (i, len(term.exponents), n)
                     )
                 if not allow_negative_exponents and min(term.exponents) < 0:
                     raise FieldError(
-                        "component %d: negative exponent %r"
-                        % (i, min(term.exponents))
+                        "component %d: negative exponent %r" % (i, min(term.exponents))
                     )
-                merged[term.exponents] = merged.get(term.exponents, 0.0) + term.coeff
-            canon.append(
-                tuple(
-                    Monomial(c, e)
-                    for e, c in sorted(merged.items())
-                    if c != 0.0
-                )
-            )
-        self.components = tuple(canon)
-        # per-component dense arrays for fast evaluation
-        self._coeffs = []
-        self._expo = []
-        for terms in self.components:
-            if terms:
-                self._coeffs.append(np.array([m.coeff for m in terms]))
-                self._expo.append(np.array([m.exponents for m in terms]))
-            else:
-                self._coeffs.append(np.zeros(0))
-                self._expo.append(np.zeros((0, self.n)))
+                terms.append(((i, term.exponents), term.coeff))
+        self._set_table(terms)
+
+    @classmethod
+    def from_arrays(cls, n, k, E, C):
+        """The map with terms ``C[t] * x**E[t]`` in components ``k[t]``;
+        exponents are not checked."""
+        F = cls.__new__(cls)
+        F.n = int(n)
+        F._set_table(zip(zip(k.tolist(), map(tuple, E.tolist())), C.tolist()))
+        return F
+
+    def _set_table(self, terms):
+        # ((component, exponents), coeff) pairs: like terms summed in order
+        merged = {}
+        for key, c in terms:
+            merged[key] = merged.get(key, 0.0) + c
+        table = sorted((key, c) for key, c in merged.items() if c != 0.0)
+        self.k = np.array([i for (i, _), _ in table], dtype=np.intp)
+        self.E = np.array([e for (_, e), _ in table], dtype=float).reshape(len(table), self.n)
+        self.C = np.array([c for _, c in table], dtype=float)
+        self.K = (self.k[:, None] == np.arange(self.n)).astype(float)
+
+    def __call__(self, x):
+        """F at a point (n,) or at each row of a batch (m, n); 0**0 is 1.
+
+        The integrator calls this about a million times per long run, so it
+        takes multiply.reduce, which is np.prod without its Python wrapper.
+        """
+        return (self.C * np.multiply.reduce(x[..., None, :] ** self.E, axis=-1)) @ self.K
 
     def __eq__(self, other):
-        return isinstance(other, PolyMap) and self.components == other.components
+        return (
+            isinstance(other, PolyMap) and self.n == other.n
+            and np.array_equal(self.k, other.k)
+            and np.array_equal(self.E, other.E)
+            and np.array_equal(self.C, other.C)
+        )
 
     def __repr__(self):
-        return "PolyMap(n=%d, %r)" % (self.n, self.components)
+        return "PolyMap(n=%d, %r)" % (self.n, self.to_json())
+
+    def to_json(self):
+        """The document form: per component, a list of {"c": coeff, "e": exponents}."""
+        comps = [[] for _ in range(self.n)]
+        for i, e, c in zip(self.k.tolist(), self.E.tolist(), self.C.tolist()):
+            comps[i].append({"c": c, "e": e})
+        return comps
 
     @property
     def min_exponent(self):
-        exps = [e for terms in self.components for m in terms for e in m.exponents]
-        return min(exps) if exps else 0.0
+        return float(self.E.min()) if len(self.C) else 0.0
 
     def is_zero(self):
-        return all(len(terms) == 0 for terms in self.components)
-
-    def scale(self, alpha):
-        return PolyMap(
-            self.n,
-            [
-                [Monomial(alpha * m.coeff, m.exponents) for m in terms]
-                for terms in self.components
-            ],
-            allow_negative_exponents=True,
-        )
+        return len(self.C) == 0
 
 
-class _FastEval:
-    """Validation-free evaluator for the integrator hot loop.
-
-    Stacks all monomials of a map into one exponent matrix so a call is a
-    single power/prod/matmul chain.  Only safe for nonnegative exponents
-    and nonnegative points (0**0 evaluates to 1 under numpy semantics).
-    """
-
-    def __init__(self, F):
-        self.n = F.n
-        rows, coeffs, comp = [], [], []
-        for i, terms in enumerate(F.components):
-            for m in terms:
-                rows.append(m.exponents)
-                coeffs.append(m.coeff)
-                comp.append(i)
-        if rows:
-            self.E = np.asarray(rows, dtype=float)
-            self.C = np.asarray(coeffs, dtype=float)
-            self.S = np.zeros((F.n, len(coeffs)))
-            self.S[comp, np.arange(len(coeffs))] = 1.0
-        else:
-            self.E = None
-
-    def __call__(self, x):
-        if self.E is None:
-            return np.zeros(self.n)
-        return self.S @ (self.C * np.prod(x ** self.E, axis=1))
-
-
-def fast_evaluator(F: PolyMap) -> _FastEval:
+def fast_evaluator(F: PolyMap) -> PolyMap:
+    """F itself, once its exponents are known to be nonnegative, so the
+    integrator can call it without validation."""
     if F.min_exponent < 0:
         raise FieldError("fast evaluation requires nonnegative exponents")
-    return _FastEval(F)
-
-
-def _powers(x, expo):
-    # 0^0 := 1 so constant monomials are well defined
-    base = np.where(expo != 0.0, x[None, :], 1.0)
-    with np.errstate(divide="ignore"):
-        return np.prod(np.power(base, expo), axis=1)
+    return F
 
 
 def eval_field(F: PolyMap, x) -> np.ndarray:
-    """Evaluate F at a point of the nonnegative orthant (0^0 evaluates to 1)."""
+    """Evaluate F at a point (n,) or a batch of points (m, n) of the
+    nonnegative orthant (0^0 evaluates to 1)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (F.n,):
-        raise FieldError("point of shape %r, expected (%d,)" % (x.shape, F.n))
-    out = np.empty(F.n)
-    for i in range(F.n):
-        if len(F._coeffs[i]) == 0:
-            out[i] = 0.0
-        else:
-            out[i] = F._coeffs[i] @ _powers(x, F._expo[i])
-    if not np.all(np.isfinite(out)):
-        raise FieldError("field value not finite at %r" % (x.tolist(),))
+    if x.ndim not in (1, 2) or x.shape[-1] != F.n:
+        raise FieldError("point of shape %r, expected (%d,) or (m, %d)" % (x.shape, F.n, F.n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = F(x)
+    finite = np.isfinite(out)
+    if not finite.all():
+        where = x if x.ndim == 1 else x[~finite.all(axis=1)][0]
+        raise FieldError("field value not finite at %r" % (where.tolist(),))
     return out
 
 
@@ -182,15 +156,9 @@ def jacobian(F: PolyMap, x) -> np.ndarray:
         raise FieldError("point of shape %r, expected (%d,)" % (x.shape, F.n))
     if np.any(x <= 0.0):
         raise FieldError("jacobian requires a strictly positive point")
-    J = np.zeros((F.n, F.n))
-    for i in range(F.n):
-        coeffs, expo = F._coeffs[i], F._expo[i]
-        if len(coeffs) == 0:
-            continue
-        vals = coeffs * np.prod(np.power(x[None, :], expo), axis=1)
-        # d/dx_j of c*prod x^a = a_j * value / x_j, exact for x_j > 0
-        J[i, :] = (vals[:, None] * expo / x[None, :]).sum(axis=0)
-    return J
+    vals = F.C * np.prod(x ** F.E, axis=1)
+    # d/dx_j of c*prod x^a = a_j * value / x_j, exact for x_j > 0
+    return F.K.T @ (vals[:, None] * F.E / x)
 
 
 def _sample_points(rng, n, count=N_SAMPLES, lo=SAMPLE_RANGE[0], hi=SAMPLE_RANGE[1]):
@@ -242,17 +210,8 @@ def check_cooperative(F: PolyMap, rng=None) -> Verdict:
     x_j (j != i) has nonnegative coefficient.  Mixed-sign cases fall back to
     sampled Jacobians and can only be refuted, never certified.
     """
-    symbolic_ok = True
-    for i, terms in enumerate(F.components):
-        for m in terms:
-            if m.coeff >= 0:
-                continue
-            if any(m.exponents[j] > 0 for j in range(F.n) if j != i):
-                symbolic_ok = False
-                break
-        if not symbolic_ok:
-            break
-    if symbolic_ok:
+    cross = np.any((F.E > 0) & (F.K == 0), axis=1)
+    if not np.any((F.C < 0) & cross):
         return Verdict(CERTIFIED)
     rng = rng or np.random.default_rng(0)
     for x in _sample_points(rng, F.n):
@@ -266,7 +225,7 @@ def check_cooperative(F: PolyMap, rng=None) -> Verdict:
 
 def check_nondecreasing(G: PolyMap, rng=None) -> Verdict:
     """Componentwise monotonicity of G on the nonnegative orthant."""
-    if all(m.coeff >= 0 for terms in G.components for m in terms):
+    if np.all(G.C >= 0):
         return Verdict(CERTIFIED)
     rng = rng or np.random.default_rng(1)
     for x in _sample_points(rng, G.n):
@@ -311,14 +270,12 @@ def homogeneity_degree(F: PolyMap, r: DilationMap):
     if F.is_zero():
         raise FieldError("homogeneity degree of the zero map is undefined")
     rv = np.asarray(r.r)
-    p = None
-    for i, terms in enumerate(F.components):
-        for k, m in enumerate(terms):
-            cand = float(np.dot(m.exponents, rv)) - r.r[i]
-            if p is None:
-                p = cand
-            elif abs(cand - p) > TOL_HOM:
-                return (NOT_HOMOGENEOUS, (i, k))
+    cand = F.E @ rv - rv[F.k]
+    bad = np.flatnonzero(np.abs(cand - cand[0]) > TOL_HOM)
+    if len(bad):
+        t, i = int(bad[0]), int(F.k[bad[0]])
+        return (NOT_HOMOGENEOUS, (i, t - int(np.searchsorted(F.k, i))))
+    p = float(cand[0])
     if p < -TOL_HOM:
         return (NOT_HOMOGENEOUS, None)
     return max(p, 0.0)
@@ -335,30 +292,22 @@ def check_omega_condition(G: PolyMap, i, rng=None) -> Verdict:
     """
     if not 0 <= i < G.n:
         raise FieldError("component index %d out of range" % i)
-    terms = G.components[i]
-    has_linear = any(
-        m.coeff > 0 and abs(m.exponents[i] - 1.0) <= TOL_HOM for m in terms
-    )
-    if has_linear and all(m.coeff >= 0 for m in terms):
+    own = G.k == i
+    has_linear = np.any((G.C[own] > 0) & (np.abs(G.E[own, i] - 1.0) <= TOL_HOM))
+    if has_linear and np.all(G.C[own] >= 0):
         return Verdict(CERTIFIED)
     rng = rng or np.random.default_rng(2)
     sweep = np.logspace(-6, 6, 25)
     for base in _sample_points(rng, G.n, count=8, lo=0.1, hi=10.0):
-        ratios = np.empty(len(sweep))
-        for k, xi in enumerate(sweep):
-            x = base.copy()
-            x[i] = xi
-            ratios[k] = eval_field(G, x)[i] / xi
+        X = np.tile(base, (len(sweep), 1))
+        X[:, i] = sweep
+        ratios = eval_field(G, X)[:, i] / sweep
         if not np.all(np.isfinite(ratios)):
             continue
         if ratios.min() < -TOL_COOP:
-            x = base.copy()
-            x[i] = sweep[int(np.argmin(ratios))]
-            return Verdict(REFUTED, witness=x)
+            return Verdict(REFUTED, witness=X[int(np.argmin(ratios))])
         mid = abs(ratios[len(sweep) // 2])
         for idx in (0, len(sweep) - 1):
             if abs(ratios[idx]) <= 1e-6 * max(mid, 1e-30):
-                x = base.copy()
-                x[i] = sweep[idx]
-                return Verdict(REFUTED, witness=x)
+                return Verdict(REFUTED, witness=X[idx])
     return Verdict(UNDECIDED)

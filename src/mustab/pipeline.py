@@ -17,13 +17,14 @@ import numpy as np
 
 from . import __version__
 from .criterion import (
-    INCONCLUSIVE,
     STABLE_CERTIFIED,
+    CriterionReport,
     compute_limits,
     evaluate_criterion,
 )
 from .dde import (
     HistorySpec,
+    MonitorReport,
     SimConfig,
     export_csv,
     fit_rate,
@@ -42,7 +43,7 @@ from .fields import (
     homogeneity_degree,
 )
 from .rates import make_delay, make_mu
-from .transform import build_transformed_system
+from .transform import TransformedSystem, build_transformed_system
 
 STAGES = ("check", "transform", "criterion", "simulate", "fit")
 _DEPS = {"criterion": "transform", "fit": "simulate"}
@@ -93,16 +94,10 @@ class SystemDocument:
     sim: dict = field(default_factory=dict)
 
     def to_json_obj(self):
-        def enc(F):
-            return [
-                [{"c": m.coeff, "e": list(m.exponents)} for m in terms]
-                for terms in F.components
-            ]
-
         obj = {
             "n": self.n,
-            "f": enc(self.f),
-            "g": enc(self.g),
+            "f": self.f.to_json(),
+            "g": self.g.to_json(),
             "r": list(self.r.r),
             "delay": self.delay_spec,
             "mu": self.mu_spec,
@@ -184,15 +179,16 @@ def parse_system(text: str) -> SystemDocument:
 @dataclass
 class RunReport:
     structure: StructureReport = None
-    transformed = None
-    criterion = None
+    transformed: TransformedSystem = None
+    criterion: CriterionReport = None
     simulation: dict = None
+    monitor: MonitorReport = None
     provenance: dict = None
     stage_pass: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
     def to_dict(self):
-        out = {
+        return {
             "structure": self.structure.to_dict() if self.structure else None,
             "transform": self.transformed.to_dict() if self.transformed else None,
             "criterion": self.criterion.to_dict() if self.criterion else None,
@@ -201,7 +197,6 @@ class RunReport:
             "stage_pass": self.stage_pass,
             "notes": self.notes,
         }
-        return out
 
 
 def _config_hash(doc: SystemDocument):
@@ -238,12 +233,15 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
     mu = make_mu(doc.mu_spec)
 
     p_f = p_g = None
+    hom_ok = False
     if "check" in stages or "transform" in stages:
         structure = StructureReport()
         structure.cooperative = check_cooperative(doc.f, rng=rng)
         structure.nondecreasing = check_nondecreasing(doc.g, rng=rng)
         p_f = homogeneity_degree(doc.f, doc.r)
-        p_g = homogeneity_degree(doc.g, doc.r)
+        # the zero map is homogeneous of every degree, so a system without
+        # a delayed term takes the degree of f
+        p_g = p_f if doc.g.is_zero() else homogeneity_degree(doc.g, doc.r)
         structure.homogeneity_f = p_f
         structure.homogeneity_g = p_g
         for i in range(doc.n):
@@ -284,10 +282,7 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
             if report.structure:
                 flags["structure:cooperative"] = report.structure.cooperative.status
                 flags["structure:nondecreasing"] = report.structure.nondecreasing.status
-                flags["structure:homogeneous"] = (
-                    CERTIFIED if isinstance(p_f, float) and isinstance(p_g, float)
-                    and abs(p_f - p_g) <= 1e-9 else NOT_HOMOGENEOUS
-                )
+                flags["structure:homogeneous"] = CERTIFIED if hom_ok else NOT_HOMOGENEOUS
                 for i, v in report.structure.omega.items():
                     flags["omega:g[%d]" % i] = v.status
             for i in tsys.gbar_flags:
@@ -312,14 +307,9 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
         )
         history = HistorySpec(doc.phi0)
         traj = simulate(doc.f, doc.g, delay, history, cfg)
-        monitor = None
-        if tsys is not None:
-            monitor = lyapunov_monitor(
-                traj, mu, doc.xi, doc.r, doc.r_star,
-                fbar=tsys.fbar, gbar=tsys.gbar, p=tsys.p, delay=delay,
-            )
-        else:
-            monitor = lyapunov_monitor(traj, mu, doc.xi, doc.r, doc.r_star)
+        burn_in = {} if tsys is None else dict(
+            fbar=tsys.fbar, gbar=tsys.gbar, p=tsys.p, delay=delay)
+        monitor = lyapunov_monitor(traj, mu, doc.xi, doc.r, doc.r_star, **burn_in)
         report.simulation = {
             "t_end": float(traj.ts[-1]),
             "final_state": traj.xs[-1].tolist(),
@@ -329,7 +319,7 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
             "extrapolation_flagged": traj.extrapolation_flagged,
         }
         report.stage_pass["simulate"] = True
-        report._monitor = monitor
+        report.monitor = monitor
 
     if "fit" in stages:
         slopes, intercepts = fit_rate(traj, mu)
@@ -359,8 +349,7 @@ def emit_outputs(report: RunReport, traj, out_dir, mu=None):
     paths.append(rpath)
     if traj is not None:
         tpath = os.path.join(out_dir, "trajectory.csv")
-        V = getattr(report, "_monitor", None)
-        export_csv(traj, tpath, V=V.V if V is not None else None)
+        export_csv(traj, tpath, V=report.monitor.V if report.monitor is not None else None)
         paths.append(tpath)
         if mu is not None:
             ppath = os.path.join(out_dir, "rateplot.csv")

@@ -159,14 +159,6 @@ class TabulatedMu(MuFunction):
         return {"t": self._times.tolist(), "mu": self._values.tolist()}
 
 
-def mu_eval(mu: MuFunction, t):
-    return mu.value(t)
-
-
-def mu_derivative(mu: MuFunction, t):
-    return mu.derivative(t)
-
-
 class DelayFunction:
     """Time-varying delay tau(t); delayed time is d(t) = t - tau(t)."""
 

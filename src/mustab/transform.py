@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    DilationMap,
-    FieldError,
-    Monomial,
-    PolyMap,
-    eval_field,
-)
+from .fields import DilationMap, FieldError, PolyMap, eval_field
 
 
 def state_to_z(x, r: DilationMap) -> np.ndarray:
@@ -42,21 +36,11 @@ def transform_field(F: PolyMap, r: DilationMap) -> tuple[PolyMap, tuple]:
     negative self-exponent."""
     if len(r) != F.n:
         raise FieldError("dilation of length %d for an n=%d map" % (len(r), F.n))
-    rv = r.r
-    comps = []
-    flagged = []
-    for i, terms in enumerate(F.components):
-        new_terms = []
-        for m in terms:
-            b = [a * rv[j] for j, a in enumerate(m.exponents)]
-            b[i] += 1.0 - rv[i]
-            new_terms.append(Monomial(m.coeff, b))
-        comps.append(new_terms)
-    out = PolyMap(F.n, comps, allow_negative_exponents=True)
-    for i, terms in enumerate(out.components):
-        if any(m.exponents[i] < 0 for m in terms):
-            flagged.append(i)
-    return out, tuple(flagged)
+    rv = np.asarray(r.r)
+    # b_j = a_j r_j, plus 1 - r_i on the term's own coordinate i
+    out = PolyMap.from_arrays(F.n, F.k, F.E * rv + F.K * (1.0 - rv), F.C)
+    own = out.E[np.arange(len(out.k)), out.k]
+    return out, tuple(np.unique(out.k[own < 0]).tolist())
 
 
 @dataclass
@@ -69,15 +53,9 @@ class TransformedSystem:
     gbar_flags: tuple = ()
 
     def to_dict(self):
-        def enc(F):
-            return [
-                [{"c": m.coeff, "e": list(m.exponents)} for m in terms]
-                for terms in F.components
-            ]
-
         return {
-            "fbar": enc(self.fbar),
-            "gbar": enc(self.gbar),
+            "fbar": self.fbar.to_json(),
+            "gbar": self.gbar.to_json(),
             "r": list(self.r.r),
             "p": self.p,
             "fbar_negative_exponent_components": list(self.fbar_flags),
@@ -113,13 +91,15 @@ def verify_lemma1(F: PolyMap, r: DilationMap, p, trials=200, rng=None, tol=1e-9)
     uniform scaling: fbar(lam*z) == lam**(p+1) * fbar(z)."""
     fbar, _ = transform_field(F, r)
     rng = rng or np.random.default_rng(10)
-    for z in _suite_points(rng, F.n, trials):
-        lam = rng.uniform(0.5, 2.0)
-        lhs = eval_field(fbar, lam * z)
-        rhs = lam ** (p + 1.0) * eval_field(fbar, z)
-        err = np.abs(lhs - rhs) - tol * (1.0 + np.abs(lhs))
-        if np.any(err > 0):
-            return LemmaReport(False, trials, witness=(z, lam))
+    Z = _suite_points(rng, F.n, trials)
+    lam = rng.uniform(0.5, 2.0, size=(trials, 1))
+    lhs = eval_field(fbar, lam * Z)
+    rhs = lam ** (p + 1.0) * eval_field(fbar, Z)
+    err = np.abs(lhs - rhs) - tol * (1.0 + np.abs(lhs))
+    bad = np.flatnonzero(np.any(err > 0, axis=1))
+    if len(bad):
+        t = bad[0]
+        return LemmaReport(False, trials, witness=(Z[t], float(lam[t, 0])))
     return LemmaReport(True, trials)
 
 
@@ -128,12 +108,18 @@ def verify_lemma2(F: PolyMap, r: DilationMap, trials=200, rng=None, tol=1e-12):
     others."""
     fbar, _ = transform_field(F, r)
     rng = rng or np.random.default_rng(11)
-    for z in _suite_points(rng, F.n, trials):
-        i = int(rng.integers(F.n))
-        w = z * rng.uniform(0.0, 1.0, size=F.n)
-        w[i] = z[i]
-        if eval_field(fbar, z)[i] < eval_field(fbar, w)[i] - tol:
-            return LemmaReport(False, trials, witness=(i, z, w))
+    Z = _suite_points(rng, F.n, trials)
+    own = np.empty(trials, dtype=int)
+    W = np.empty_like(Z)
+    for t, z in enumerate(Z):
+        own[t] = rng.integers(F.n)
+        W[t] = z * rng.uniform(0.0, 1.0, size=F.n)
+    rows = np.arange(trials)
+    W[rows, own] = Z[rows, own]
+    bad = np.flatnonzero(eval_field(fbar, Z)[rows, own] < eval_field(fbar, W)[rows, own] - tol)
+    if len(bad):
+        t = bad[0]
+        return LemmaReport(False, trials, witness=(int(own[t]), Z[t], W[t]))
     return LemmaReport(True, trials)
 
 
@@ -151,11 +137,10 @@ def verify_lemma3(G: PolyMap, r: DilationMap, omega_verdicts, trials=200, rng=No
         if i in omega_verdicts and omega_verdicts[i].certified
     ]
     excluded = tuple(i for i in range(G.n) if i not in included)
-    for z in _suite_points(rng, G.n, trials):
-        w = z * rng.uniform(0.0, 1.0, size=G.n)
-        gz = eval_field(gbar, z)
-        gw = eval_field(gbar, w)
-        for i in included:
-            if gz[i] < gw[i] - tol:
-                return LemmaReport(False, trials, excluded, witness=(i, z, w))
+    Z = _suite_points(rng, G.n, trials)
+    W = Z * rng.uniform(0.0, 1.0, size=Z.shape)
+    bad = np.argwhere(eval_field(gbar, Z)[:, included] < eval_field(gbar, W)[:, included] - tol)
+    if len(bad):
+        t, c = bad[0]
+        return LemmaReport(False, trials, excluded, witness=(included[c], Z[t], W[t]))
     return LemmaReport(True, trials, excluded)

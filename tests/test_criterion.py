@@ -16,7 +16,7 @@ from mustab.criterion import (
     preset_loglog_stability,
     search_xi,
 )
-from mustab.fields import DilationMap, PolyMap
+from mustab.fields import DilationMap, PolyMap, homogeneity_degree
 from mustab.generate import random_stable_linear_metzler
 from mustab.rates import (
     BoundedDelay,
@@ -82,6 +82,8 @@ class TestAnalyticLimits:
         assert np.isinf(
             compute_limits(ExponentialMu(0.3), BoundedDelay(1.0), 1.0, 1.0).D
         )
+        # p from float exponent arithmetic lands a few ulps off s = 0
+        assert compute_limits(ExponentialMu(0.3), BoundedDelay(1.0), 1e-15, 1.0).D == 0.3
 
     def test_D_power_cases(self):
         # beta*s below, at, above one
@@ -89,6 +91,40 @@ class TestAnalyticLimits:
         assert compute_limits(PowerMu(2.0), BoundedDelay(1.0), 0.5, 1.0).D \
             == pytest.approx(2.0)
         assert np.isinf(compute_limits(PowerMu(3.0), BoundedDelay(1.0), 0.5, 1.0).D)
+        # and a few ulps either side of beta*s = 1 still counts as at one
+        for s in (0.5 - 1e-15, 0.5 + 1e-15):
+            assert compute_limits(PowerMu(2.0), BoundedDelay(1.0), s, 1.0).D == 2.0
+
+    def test_float_threshold_is_not_certified(self):
+        # exactly p = 0.3 and beta*p/r* = 1, so D = 5 and the margin is +4.01;
+        # in floats p = 0.2999999999999998, which once gave D = 0 and a
+        # certificate with margin -0.99
+        f = PolyMap(1, [[(-1.0, (1.2,))]])
+        g = PolyMap(1, [[(0.01, (1.2,))]])
+        r = DilationMap((1.5,))
+        p = homogeneity_degree(f, r)
+        assert p != 0.3
+        limits = compute_limits(PowerMu(5.0), BoundedDelay(1.0), p, 1.5)
+        assert (limits.method, limits.D) == (ANALYTIC, 5.0)
+        fbar, _ = transform_field(f, r)
+        gbar, _ = transform_field(g, r)
+        rep = evaluate_criterion(fbar, gbar, np.ones(1), r, 1.5, p, limits)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.margins == pytest.approx([4.01])
+
+    def test_past_threshold_is_not_met(self):
+        # a threshold is met from above only within rounding noise: past it
+        # D is infinite, and a D of beta or eps would certify a decay rate
+        # the system does not have (x' ~ -3 x^(2 + 5e-10) is slower than 1/t)
+        r = DilationMap((1.0,))
+        for mu, a in ((PowerMu(1.0), 2.0000000005), (ExponentialMu(0.5), 1.0000000005)):
+            f = PolyMap(1, [[(-3.0, (a,))]])
+            g = PolyMap(1, [[(0.1, (a,))]])
+            p = homogeneity_degree(f, r)
+            limits = compute_limits(mu, BoundedDelay(1.0), p, 1.0)
+            assert limits.method == ANALYTIC and np.isinf(limits.D)
+            rep = evaluate_criterion(f, g, np.ones(1), r, 1.0, p, limits)
+            assert rep.verdict == INCONCLUSIVE
 
     def test_D_slow_rates_vanish(self):
         for mu in (LogMu(), LogLogMu()):
@@ -129,6 +165,17 @@ class TestNumericEstimators:
         # log mu with proportional-type delay tends to 1
         assert pair.L == pytest.approx(1.0, rel=0.15)
 
+    def test_tabulated_ends_are_sampled_exactly(self):
+        # the probe grids end exactly on the last table time, not one
+        # rounding step beyond it
+        t = [3.0, 10.0, 100.0, 1e3, 1e4, 1e5]
+        pair = compute_limits(LogMu(), TabulatedDelay(t, np.ones(6)), 0.0, 1.0)
+        assert pair.L == pytest.approx(1.0, rel=1e-3)
+        t = np.geomspace(10.0, 1e4, 20)
+        pair = compute_limits(TabulatedMu(t, (1.0 + t) ** 2), BoundedDelay(1.0), 0.0, 1.0)
+        assert pair.L == pytest.approx(1.0, rel=0.01)
+        assert pair.D == 0.0
+
     def test_tabulated_domain_too_short(self):
         t = np.linspace(1.0, 5.0, 8)
         mu = TabulatedMu(t, np.log1p(t))
@@ -154,6 +201,13 @@ class TestMargins:
         fbar, gbar, r = paper_transformed()
         m = criterion_margins(fbar, gbar, np.ones(2), r, 2.0, 2.0,
                               LimitPair(np.inf, 0.0, ANALYTIC))
+        assert np.all(np.isinf(m))
+
+    def test_overflowing_delay_factor_gives_infinite_margins(self):
+        # a finite L whose power L**((p+1)/r_star) overflows a float
+        fbar, gbar, r = paper_transformed()
+        m = criterion_margins(fbar, gbar, np.ones(2), r, 0.05, 2.0,
+                              LimitPair(3e15, 0.0, "pointwise"))
         assert np.all(np.isinf(m))
 
     def test_xi_must_be_positive(self):
@@ -215,14 +269,15 @@ class TestPresets:
         f = PolyMap(1, [[(-2.0, (1.0,))]])
         g = PolyMap(1, [[(1.0, (1.0,))]])
         rep = preset_log_stability(f, g, np.ones(1))
-        assert rep.certified
-        assert rep.condition_values == pytest.approx([-1.0])
+        assert rep.verdict == STABLE_CERTIFIED
+        assert rep.margins == pytest.approx([-1.0])
 
     def test_loglog_preset(self):
         f = PolyMap(1, [[(-2.0, (1.0,))]])
         g = PolyMap(1, [[(1.0, (1.0,))]])
         rep = preset_loglog_stability(f, g, np.ones(1), alpha=0.5)
-        assert rep.certified
+        assert rep.verdict == STABLE_CERTIFIED
+        assert rep.margins == pytest.approx([-1.0])
 
     def test_presets_require_degree_zero(self):
         f = PolyMap(1, [[(-2.0, (1.0,))]])

@@ -10,7 +10,6 @@ from mustab.dde import (
     export_csv,
     fit_rate,
     lyapunov_monitor,
-    sample,
     simulate,
 )
 from mustab.fields import DilationMap, PolyMap
@@ -89,7 +88,7 @@ class TestTrajectory:
         traj = Trajectory([0.0, 1.0], [[1.0], [2.0]], [[1.0], [1.0]])
         with pytest.raises(SimulationError):
             traj.sample(2.0)
-        assert sample(traj, 0.5)[0] == pytest.approx(1.5, abs=0.3)
+        assert traj.sample(0.5)[0] == pytest.approx(1.5, abs=0.3)
 
     def test_positivity_of_stored_states(self):
         cfg = SimConfig(t_start=0.0, t_end=20.0)

@@ -37,7 +37,7 @@ def paper_g():
 class TestPolyMap:
     def test_like_terms_merge(self):
         F = PolyMap(1, [[(2.0, (3,)), (1.5, (3,)), (1.0, (1,))]])
-        assert len(F.components[0]) == 2
+        assert len(F.C) == 2 and np.all(F.k == 0)
         assert eval_field(F, np.array([2.0]))[0] == pytest.approx(3.5 * 8 + 2.0)
 
     def test_cancelling_terms_drop(self):
@@ -79,7 +79,7 @@ class TestFastEvaluator:
         fe = fast_evaluator(F)
         for _ in range(50):
             x = rng.uniform(0.0, 5.0, size=2)
-            assert np.allclose(fe(x), eval_field(F, x), rtol=1e-14, atol=0)
+            assert np.array_equal(fe(x), eval_field(F, x))
 
     def test_zero_map(self):
         fe = fast_evaluator(PolyMap(2, [[], []]))
@@ -89,6 +89,44 @@ class TestFastEvaluator:
         F = PolyMap(1, [[(1.0, (-1.0,))]], allow_negative_exponents=True)
         with pytest.raises(FieldError):
             fast_evaluator(F)
+
+
+class TestBatchEvaluation:
+    def test_rows_match_points(self):
+        # several terms per component; a batch matmul may sum them in
+        # another order, so rows agree with points to a few ulps
+        rng = np.random.default_rng(6)
+        comps = [
+            [(rng.normal(), tuple(rng.uniform(0.0, 3.0, size=3))) for _ in range(7)]
+            for _ in range(3)
+        ]
+        comps[0].append((1.5, (0.0, 0.0, 0.0)))  # the origin row then meets 0^0 = 1
+        F = PolyMap(3, comps)
+        X = rng.uniform(0.0, 5.0, size=(40, 3))
+        X[0] = 0.0
+        X[1, 2] = 0.0
+        got = eval_field(F, X)
+        assert got.shape == (40, 3) and got[0, 0] == 1.5
+        for x, row in zip(X, got):
+            # any order of summing 8 terms is within 7 eps * sum|terms| of the exact sum
+            bound = 14 * np.finfo(float).eps * (np.abs(F.C * np.prod(x ** F.E, axis=1)) @ F.K)
+            assert np.all(np.abs(row - eval_field(F, x)) <= bound)
+
+    def test_zero_map(self):
+        Z = PolyMap(2, [[], []])
+        assert np.array_equal(eval_field(Z, np.ones((5, 2))), np.zeros((5, 2)))
+        assert np.array_equal(eval_field(Z, np.zeros(2)), np.zeros(2))
+
+    def test_shape_checked(self):
+        with pytest.raises(FieldError):
+            eval_field(paper_f(), np.ones((4, 3)))
+        with pytest.raises(FieldError):
+            eval_field(paper_f(), np.ones((2, 2, 2)))
+
+    def test_non_finite_row_named(self):
+        F = PolyMap(1, [[(1.0, (-1.0,))]], allow_negative_exponents=True)
+        with pytest.raises(FieldError, match=r"\[0\.0\]"):
+            eval_field(F, np.array([[1.0], [0.0]]))
 
 
 class TestJacobian:

@@ -157,6 +157,49 @@ class TestEmitOutputs:
         assert head == "lnmu_t,ln_x1,ln_x2"
 
 
+def scalar_doc(g_terms, t_start):
+    return json.dumps({
+        "n": 1, "f": [[{"c": -1.0, "e": [2.0]}]], "g": [g_terms], "r": [1.0],
+        "mu": {"family": "log"}, "delay": {"family": "bounded", "tau_max": 1.0},
+        "history": {"phi0": [1.0]}, "sim": {"t_start": t_start, "t_end": 100.0},
+    })
+
+
+class TestScalarSystems:
+    def test_no_delayed_term(self):
+        # the zero map g takes the degree of f
+        doc = parse_system(scalar_doc([], 2.0))
+        rep, _, code = run_pipeline(doc, ["check", "transform", "criterion"])
+        assert code == 0
+        assert rep.structure.homogeneity_g == rep.structure.homogeneity_f == 1.0
+        assert rep.criterion.verdict == "STABLE_CERTIFIED"
+        assert rep.criterion.margins == pytest.approx([-1.0])
+
+    def test_no_delayed_term_all_stages(self, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text(scalar_doc([], 2.0))
+        assert cli_main(["all", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_monitor_skips_zero_gauge_at_delayed_time(self, tmp_path):
+        # t_start = 1 with tau = 1 puts d(t_start) = 0, where mu = ln(1 + t) is 0
+        path = tmp_path / "sys.json"
+        path.write_text(scalar_doc([{"c": 0.1, "e": [2.0]}], 1.0))
+        assert cli_main(["all", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "report.json") as fh:
+            sim = json.load(fh)["simulation"]
+        assert sim["burn_in"] > 1.0 and sim["monitor"]["burn_in_found"]
+
+    def test_monitor_skips_tiny_gauge_at_delayed_time(self):
+        # one ulp after t = 1, mu(d) is 2e-16, and L = mu(t)/mu(d) = 3e15
+        # raised to (p + 1)/r_star = 22 overflows a float
+        obj = json.loads(scalar_doc([{"c": 0.1, "e": [1.0]}], np.nextafter(1.0, 2.0)))
+        obj["f"] = [[{"c": -1.0, "e": [1.0]}]]
+        obj["r_star"] = 0.045
+        rep, _, _ = run_pipeline(parse_system(json.dumps(obj)),
+                                 ["check", "transform", "criterion", "simulate"])
+        assert rep.monitor.burn_in > 1.0 and rep.monitor.burn_in_found
+
+
 class TestCli:
     def run_cli(self, tmp_path, *args):
         out = str(tmp_path / "out")

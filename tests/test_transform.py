@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mustab.fields import DilationMap, FieldError, PolyMap, eval_field
+from mustab.fields import CERTIFIED, DilationMap, FieldError, PolyMap, Verdict, eval_field
 from mustab.generate import (
     random_dilation,
     random_homogeneous_cooperative,
@@ -59,6 +59,13 @@ class TestTransformField:
         assert fbar == expect
         assert flags == ()
 
+    def test_terms_that_round_together_merge(self):
+        # 3.7 and the next float both scale to 1.11 under r = 0.3
+        a = 3.7
+        F = PolyMap(2, [[], [(1.0, (a, 0.0)), (2.0, (np.nextafter(a, 4.0), 0.0))]])
+        fbar, _ = transform_field(F, DilationMap((0.3, 1.0)))
+        assert fbar == PolyMap(2, [[], [(3.0, (a * 0.3, 0.0))]])
+
     def test_paper_gbar_exact_with_flag(self):
         gbar, flags = transform_field(paper_g(), R12)
         expect = PolyMap(2, [
@@ -67,6 +74,26 @@ class TestTransformField:
         ], allow_negative_exponents=True)
         assert gbar == expect
         assert flags == (1,)
+
+    def test_exponents_match_per_term_formula(self):
+        # b_j = a_j r_j for j != i and b_i = a_i r_i + (1 - r_i), bit for bit
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 4):
+            r = DilationMap(tuple(rng.uniform(0.3, 3.0, size=n)))
+            comps = [
+                [(rng.normal(), tuple(rng.uniform(0.0, 3.0, size=n))) for _ in range(4)]
+                for _ in range(n)
+            ]
+            expect = []
+            for i, terms in enumerate(comps):
+                rows = []
+                for c, a in terms:
+                    b = [aj * r.r[j] for j, aj in enumerate(a)]
+                    b[i] += 1.0 - r.r[i]
+                    rows.append((c, b))
+                expect.append(rows)
+            fbar, _ = transform_field(PolyMap(n, comps), r)
+            assert fbar == PolyMap(n, expect, allow_negative_exponents=True)
 
     def test_quotient_oracle(self):
         # definition check: fbar_i(z) == f_i(z^r) / z_i^(r_i - 1)
@@ -133,3 +160,60 @@ class TestLemmaSuites:
         rep = verify_lemma3(g, R12, omega, trials=50)
         assert rep.passed
         assert rep.excluded_components == (1,)
+
+
+def suite_points(rng, count, n):
+    return np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=(count, n)))
+
+
+class TestLemmaSuitesAgainstLoops:
+    """The batched suites return the first failing trial of the loop that
+    draws and evaluates one trial at a time."""
+
+    def test_lemma1(self):
+        F = PolyMap(1, [[(1.0, (1.0,)), (1e-12, (3.0,))]])  # fails for large z only
+        rng = np.random.default_rng(13)
+        Z = suite_points(rng, 100, 1)
+        lam = [rng.uniform(0.5, 2.0) for _ in Z]
+
+        def fails(t):
+            lhs = eval_field(F, lam[t] * Z[t])
+            return np.any(np.abs(lhs - lam[t] * eval_field(F, Z[t])) > 1e-9 * (1.0 + np.abs(lhs)))
+
+        first = next(t for t in range(100) if fails(t))
+        assert first > 0
+        rep = verify_lemma1(F, DilationMap((1.0,)), 0.0, trials=100, rng=np.random.default_rng(13))
+        assert np.array_equal(rep.witness[0], Z[first]) and rep.witness[1] == lam[first]
+
+    def test_lemma2(self):
+        F = PolyMap(2, [[(1.0, (0, 1)), (-1.0, (0, 2))], [(1.0, (1, 0))]])
+        rng = np.random.default_rng(14)
+        Z = suite_points(rng, 100, 2)
+        draws = []
+        for z in Z:
+            i = int(rng.integers(2))
+            w = z * rng.uniform(0.0, 1.0, size=2)
+            w[i] = z[i]
+            draws.append((i, w))
+        first = next(t for t, (i, w) in enumerate(draws)
+                     if eval_field(F, Z[t])[i] < eval_field(F, w)[i] - 1e-12)
+        assert first > 0
+        rep = verify_lemma2(F, DilationMap((1.0, 1.0)), trials=100, rng=np.random.default_rng(14))
+        i, z, w = rep.witness
+        assert i == draws[first][0]
+        assert np.array_equal(z, Z[first]) and np.array_equal(w, draws[first][1])
+
+    def test_lemma3(self):
+        G = PolyMap(2, [[(1.0, (1, 0)), (1.0, (0, 1)), (-1.0, (0, 2))], [(1.0, (0, 1))]])
+        rng = np.random.default_rng(16)
+        Z = suite_points(rng, 100, 2)
+        W = [z * rng.uniform(0.0, 1.0, size=2) for z in Z]
+        first = next((i, t) for t in range(100) for i in (0, 1)
+                     if eval_field(G, Z[t])[i] < eval_field(G, W[t])[i] - 1e-12)
+        assert first[1] > 0
+        omega = {0: Verdict(CERTIFIED), 1: Verdict(CERTIFIED)}
+        rep = verify_lemma3(G, DilationMap((1.0, 1.0)), omega, trials=100,
+                            rng=np.random.default_rng(16))
+        i, z, w = rep.witness
+        assert i == first[0]
+        assert np.array_equal(z, Z[first[1]]) and np.array_equal(w, W[first[1]])
