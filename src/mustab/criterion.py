@@ -74,10 +74,15 @@ def _analytic_L(mu, delay):
             return 1.0
         if isinstance(mu, ExponentialMu):
             return np.inf
-    if isinstance(delay, LogFractionDelay) and isinstance(mu, LogMu):
-        return 1.0
-    if isinstance(delay, PowerLagDelay) and isinstance(mu, LogLogMu):
-        return 1.0
+    if isinstance(delay, (LogFractionDelay, PowerLagDelay)):
+        if isinstance(mu, (PowerMu, ExponentialMu)):
+            # mu(t)/mu(d(t)) grows like (ln t)^beta, t^((1-alpha) beta) or
+            # faster, beyond the reach of a numeric fit
+            return np.inf
+        if isinstance(delay, LogFractionDelay) and isinstance(mu, LogMu):
+            return 1.0
+        if isinstance(delay, PowerLagDelay) and isinstance(mu, LogLogMu):
+            return 1.0
     return None
 
 
@@ -115,8 +120,11 @@ def _ratio_samples(mu, delay, gexps):
     else:
         ts = 10.0 ** np.asarray(gexps, dtype=float)
         ts = ts[ts >= lo]
+    d = np.asarray(delay.delayed_time(ts), dtype=float)
+    # mu is defined from t = 0 on; a bounded delay reaches below it early
+    ts, d = ts[d >= 0], d[d >= 0]
     lm_t = np.asarray(mu.log_value(ts), dtype=float)
-    lm_d = np.asarray(mu.log_value(delay.delayed_time(ts)), dtype=float)
+    lm_d = np.asarray(mu.log_value(d), dtype=float)
     lv = lm_t - lm_d
     # drop samples where the log subtraction lost precision
     noise = 2.3e-16 * np.maximum(np.abs(lm_t), np.abs(lm_d))
@@ -343,11 +351,12 @@ def search_xi(fbar, gbar, r: DilationMap, r_star, p, limits: LimitPair,
     Returns (found, best_xi, best_margins): ``found`` is the successful xi
     or None, ``best_xi`` the minimizer of the worst margin seen.
     """
-    if not limits.finite():
-        xi = np.ones(fbar.n)
-        return None, xi, np.full(fbar.n, np.inf)
     xi = np.ones(fbar.n)
     best = criterion_margins(fbar, gbar, xi, r, r_star, p, limits)
+    if not (limits.finite() and limits.converged):
+        # no weight certifies on infinite limits (the margins are infinite)
+        # or on an estimate that did not converge
+        return None, xi, best
     if np.all(best < -MARGIN_EPS):
         return xi, xi, best
     for _ in range(sweeps):

@@ -1,14 +1,21 @@
 """Long-horizon integration of positive systems with time-varying delay.
 
 The model is xdot(t) = f(x(t)) + g(x(d(t))) with delayed time d(t) <= t.
-Integration is classical explicit RK4 with a relative-time step policy
-h(t) ~ rho * t: the horizons of interest (1e6 and beyond) are unreachable
-with fixed small steps, and the dynamics slow down as t grows.  Dense
-output is cubic Hermite on stored (state, right-hand side) node pairs,
-which is also how delayed state lookups are served.  Everything runs in
-the original x coordinates; the transformed z quantities are derived from
-the trajectory afterwards, which avoids the division by z_i near the
-origin.
+The step policy is relative, h(t) ~ rho * t: the horizons of interest (1e6
+and beyond) are unreachable with fixed small steps, and the dynamics slow
+down as t grows.  Such steps soon outgrow the fastest relaxation time of
+f, so the scheme is linearly implicit: the Rosenbrock method RODAS3 (order
+3, L-stable, with an embedded order-2 estimate), using the exact Jacobian
+of f.  The delayed term enters as a known forcing G(t) = g(x(d(t))); the
+stages sit at t and t + h, so a step needs one new delayed lookup.  The
+step is the policy's.  A step is rejected and halved, never clamped, when
+its state leaves the orthant, when its estimate is of order one, or when a
+growing mode of the Jacobian takes it to the scheme's pole; below h_min
+that is a SimulationError.  Dense output is cubic Hermite on stored
+(state, right-hand side) node pairs, which is also how delayed state
+lookups are served.  Everything runs in the original x coordinates; the
+transformed z quantities are derived from the trajectory afterwards, which
+avoids the division by z_i near the origin.
 """
 
 from __future__ import annotations
@@ -19,14 +26,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import DilationMap, PolyMap, fast_evaluator, jacobian
-from .rates import DelayFunction, MuFunction
+from .rates import DelayFunction, MuFunction, RateError
 
-# explicit RK4 is only stable for h * |lambda| below about 2.8 on the real
-# axis; the relative step policy alone violates that once rho * t outgrows
-# the local relaxation time, so the step is additionally capped by the
-# spectral radius of the Jacobian of f (recomputed periodically)
-_STAB_SAFETY = 2.5
-_STAB_EVERY = 20
+# RODAS3 (Sandu et al., Atmos. Environ. 31, 1997) in the transformed form of
+# Hairer & Wanner II, (IV.7.25): with W = I/(gamma h) - J and gamma = 1/2,
+#   W u_i = F(t + alpha_i h, x + sum_j a_ij u_j) + sum_j (c_ij/h) u_j + gamma_i h F_t
+# with alpha = (0, 0, 1, 1), gamma_i = (1/2, 3/2, 0, 0), a31 = a41 = 2,
+# a43 = 1, c21 = 4, c31 = c41 = 1, c32 = c42 = -1, c43 = -8/3 (the other
+# a_ij and c_ij are 0); x_new = x + 2 u1 + u3 + u4, and the embedded
+# solution leaves out u4, which is the estimate
+_GAMMA = 0.5
+# a step whose estimate, relative to the state's largest component,
+# exceeds this is rejected: not an accuracy control, which would cut the
+# policy's steps, but a guard against a step that went wrong
+_EST_REJECT = 0.5
+# the scheme's stability function has its pole at h * lambda = 1/gamma; a
+# step that takes a growing mode of the Jacobian there (a finite-time
+# blow-up ahead) is rejected before it is made
+_POLE = 1.0 / _GAMMA
 
 
 class SimulationError(RuntimeError):
@@ -121,80 +138,109 @@ class Trajectory:
         )
 
 
-def _stability_cap(f, x):
-    """Largest step the explicit scheme tolerates at state x, from the
-    spectral radius of the Jacobian of the undelayed part."""
-    J = jacobian(f, np.maximum(x, 1e-30))
-    lam = float(np.max(np.abs(np.linalg.eigvals(J))))
-    return np.inf if lam <= 1e-300 else _STAB_SAFETY / lam
+def _growth_rate(J):
+    """The spectral abscissa of J when Gershgorin's bound on it, the largest
+    J_ii + sum_{j != i} |J_ij|, is positive (a mode may grow), else that
+    bound."""
+    bound = (np.abs(J).sum(axis=1) + 2.0 * np.minimum(J.diagonal(), 0.0)).max()
+    if bound <= 0.0:
+        return bound
+    return np.linalg.eigvals(J).real.max()
 
 
 def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
              history: HistorySpec, cfg: SimConfig) -> Trajectory:
     """Integrate the delayed system; see the module docstring for the scheme."""
     t = float(cfg.t_start)
+    t_end = float(cfg.t_end)
+    # one domain check for the whole horizon: every lookup below is at a
+    # time in [t_start, t_end]
+    delay.delayed_time(np.array([t, t_end]))
+    d_of = delay.d
     x = np.maximum(np.asarray(history.value(t), dtype=float).copy(), cfg.x_floor)
 
     f_eval = fast_evaluator(f)
     g_eval = fast_evaluator(g)
     ts = [t]
-    xs = [x.copy()]
+    xs = [x]
+    fs = []
     flagged = False
-    t_end = float(cfg.t_end)
     tol_ahead = 1e-9
 
-    def delayed_state(ts_, h):
+    def delayed_forcing(ts_):
+        """g(x(d(ts_))), and whether it came from the history."""
         nonlocal flagged
-        d = float(delay.delayed_time(ts_))
+        d = float(d_of(ts_))
         if d > ts_ + tol_ahead * max(1.0, abs(ts_)):
             raise SimulationError(
                 "delayed time %g ahead of evaluation time %g" % (d, ts_)
             )
         if d <= cfg.t_start:
-            return history.value(d)
+            return g_eval(np.maximum(history.value(d), 0.0)), True
         k = bisect.bisect_right(ts, d)
         if k >= len(ts):
-            # inside the current incomplete step: extend the last completed
-            # Hermite interval (valid since d(t) < t strictly)
-            if d > ts[-1] + h:
-                flagged = True
+            # inside the current step: extend the last completed Hermite
+            # interval (d(t) < t strictly)
+            flagged = True
             k = len(ts) - 1
             if k == 0:
-                return xs[0]
-        return _hermite(d, ts[k - 1], ts[k], xs[k - 1], xs[k], fs[k - 1], fs[k])
+                # no completed step yet: extend the first node linearly
+                x0 = xs[0] if not fs else xs[0] + (d - ts[0]) * fs[0]
+                return g_eval(np.maximum(x0, 0.0)), False
+        xd = _hermite(d, ts[k - 1], ts[k], xs[k - 1], xs[k], fs[k - 1], fs[k])
+        return g_eval(np.maximum(xd, 0.0)), False
 
-    h0 = cfg.step(t)
-    gd0 = g_eval(np.maximum(delayed_state(t, h0), 0.0))
-    fs = [f_eval(x) + gd0]
-
-    h_stab = _stability_cap(f, x)
-    since_stab = 0
+    G0, hist0 = delayed_forcing(t)
+    F0 = f_eval(x) + G0
+    fs.append(F0)
+    eye = np.eye(len(x))
     eps_end = 1e-12 * max(1.0, t_end)
+    G_prev = h_prev = None
+    hist_prev = True
 
     while t < t_end - eps_end:
-        if since_stab >= _STAB_EVERY:
-            h_stab = _stability_cap(f, x)
-            since_stab = 0
-        since_stab += 1
-        h = min(cfg.step(t), h_stab, t_end - t)
-        gd_half = g_eval(np.maximum(delayed_state(t + 0.5 * h, h), 0.0))
-        gd_full = g_eval(np.maximum(delayed_state(t + h, h), 0.0))
-        k1 = fs[-1]
-        k2 = f_eval(np.maximum(x + 0.5 * h * k1, 0.0)) + gd_half
-        k3 = f_eval(np.maximum(x + 0.5 * h * k2, 0.0)) + gd_half
-        k4 = f_eval(np.maximum(x + h * k3, 0.0)) + gd_full
-        x_new = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if h <= cfg.h_min * (1 + 1e-12):
-            if np.max(np.abs(x_new)) > 2.0 * max(np.max(np.abs(x)), 1e-12):
+        h = min(cfg.step(t), t_end - t)
+        J = jacobian(f, np.maximum(x, 1e-30))
+        grow = _growth_rate(J)
+        while True:
+            if grow * h < _POLE:
+                G1, hist1 = delayed_forcing(t + h)
+                if hist_prev:
+                    # the forcing may have a kink where d(t) leaves the history
+                    Ft = (G1 - G0) / h
+                else:
+                    # derivative at t of the parabola through the forcing at
+                    # t - h_prev, t and t + h: second order, so the scheme
+                    # keeps its order 3 on a smooth forcing
+                    Ft = ((G1 - G0) * (h_prev / h) + (G0 - G_prev) * (h / h_prev)) / (h + h_prev)
+                Winv = np.linalg.inv(eye / (_GAMMA * h) - J)
+                u1 = Winv @ (F0 + (0.5 * h) * Ft)
+                u2 = Winv @ (F0 + (4.0 / h) * u1 + (1.5 * h) * Ft)
+                y3 = x + 2.0 * u1
+                u3 = Winv @ (f_eval(np.maximum(y3, 0.0)) + G1 + (u1 - u2) / h)
+                y4 = y3 + u3
+                u4 = Winv @ (f_eval(np.maximum(y4, 0.0)) + G1
+                             + (u1 - u2 - (8.0 / 3.0) * u3) / h)
+                x_new = y4 + u4
+                est = np.abs(u4).max() / np.maximum(x, np.abs(x_new)).max()
+                if x_new.min() >= 0.0 and est <= _EST_REJECT:
+                    x_new = np.maximum(x_new, cfg.x_floor)
+                    F_new = f_eval(x_new) + G1
+                    if np.isfinite(F_new).all():
+                        break
+            h *= 0.5
+            if h < cfg.h_min:
                 raise SimulationError(
-                    "state doubled within one minimal step at t=%g" % t
+                    "no step of at least h_min keeps the state %s at t=%g "
+                    "positive, finite and accurate" % (x, t)
                 )
-        x_new = np.maximum(x_new, cfg.x_floor)
         t = t + h
+        x, F0 = x_new, F_new
+        G_prev, G0, h_prev = G0, G1, h
+        hist_prev, hist0 = hist0, hist1
         ts.append(t)
-        xs.append(x_new)
-        fs.append(f_eval(x_new) + gd_full)
-        x = x_new
+        xs.append(x)
+        fs.append(F0)
 
     return Trajectory(ts, np.vstack(xs), np.vstack(fs), flagged)
 
@@ -244,7 +290,7 @@ def lyapunov_monitor(traj: Trajectory, mu: MuFunction, xi, r: DilationMap,
         for k, tk in enumerate(traj.ts):
             try:
                 d = float(delay.delayed_time(tk))
-            except Exception:
+            except RateError:
                 continue
             if d < 0:
                 continue

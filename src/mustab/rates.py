@@ -167,11 +167,20 @@ class DelayFunction:
     t_max = np.inf
 
     def tau(self, t):
-        raise NotImplementedError
+        self._check_t(t)
+        return self._tau(np.asarray(t, dtype=float))
 
     def delayed_time(self, t):
         self._check_t(t)
-        return np.asarray(t, dtype=float) - self.tau(t)
+        return self.d(np.asarray(t, dtype=float))
+
+    def d(self, t):
+        """d(t) without the domain check, for a caller that checked the
+        whole range it evaluates on once (the integrator)."""
+        return t - self._tau(t)
+
+    def _tau(self, t):
+        raise NotImplementedError
 
     def _check_t(self, t):
         t = np.asarray(t)
@@ -195,9 +204,11 @@ class BoundedDelay(DelayFunction):
         if self.tau_max < 0:
             raise RateError("bounded delay requires tau_max >= 0")
 
-    def tau(self, t):
-        self._check_t(t)
-        return np.full_like(np.asarray(t, dtype=float), self.tau_max)
+    def _tau(self, t):
+        return np.full_like(t, self.tau_max)
+
+    def d(self, t):
+        return t - self.tau_max
 
     def params(self):
         return {"tau_max": self.tau_max}
@@ -211,13 +222,11 @@ class ProportionalDelay(DelayFunction):
         if not 0.0 < self.q < 1.0:
             raise RateError("proportional delay requires q in (0, 1)")
 
-    def tau(self, t):
-        self._check_t(t)
-        return (1.0 - self.q) * np.asarray(t, dtype=float)
+    def _tau(self, t):
+        return (1.0 - self.q) * t
 
-    def delayed_time(self, t):
-        self._check_t(t)
-        return self.q * np.asarray(t, dtype=float)
+    def d(self, t):
+        return self.q * t
 
     def params(self):
         return {"q": self.q}
@@ -229,14 +238,10 @@ class LogFractionDelay(DelayFunction):
     family = "logfraction"
     t_min = float(np.e)
 
-    def tau(self, t):
-        self._check_t(t)
-        t = np.asarray(t, dtype=float)
+    def _tau(self, t):
         return t - t / np.log(t)
 
-    def delayed_time(self, t):
-        self._check_t(t)
-        t = np.asarray(t, dtype=float)
+    def d(self, t):
         return t / np.log(t)
 
 
@@ -251,14 +256,11 @@ class PowerLagDelay(DelayFunction):
         if not 0.0 < self.alpha < 1.0:
             raise RateError("powerlag delay requires alpha in (0, 1)")
 
-    def tau(self, t):
-        self._check_t(t)
-        t = np.asarray(t, dtype=float)
+    def _tau(self, t):
         return t - t ** self.alpha
 
-    def delayed_time(self, t):
-        self._check_t(t)
-        return np.asarray(t, dtype=float) ** self.alpha
+    def d(self, t):
+        return t ** self.alpha
 
     def params(self):
         return {"alpha": self.alpha}
@@ -286,8 +288,7 @@ class TabulatedDelay(DelayFunction):
         d = grid - self._interp(grid)
         self.delayed_time_monotone = bool(np.all(np.diff(d) >= -1e-9))
 
-    def tau(self, t):
-        self._check_t(t)
+    def _tau(self, t):
         return self._interp(t)
 
     def params(self):

@@ -188,7 +188,7 @@ def test_6_reference_simulation_and_rate():
     assert rep.simulation["v_growth_ratio"] < 1.01
     slopes = np.asarray(rep.simulation["slopes"])
     assert slopes[0] <= -0.4 and slopes[1] <= -0.9
-    report("acceptance 6 simulation and rate", t0, 60.0)
+    report("acceptance 6 simulation and rate", t0, 10.0)
 
 
 def test_7_base_theorem_equivalence():

@@ -76,6 +76,14 @@ class TestAnalyticLimits:
         pair = compute_limits(ExponentialMu(0.1), ProportionalDelay(0.5), 0.0, 1.0)
         assert np.isinf(pair.L)
 
+    def test_ratio_diverges_for_fast_gauges_under_unbounded_delays(self):
+        # mu(t)/mu(d(t)) grows like (ln t)^beta, t^((1 - alpha) beta) or
+        # exponentially: analytic L = inf, never a finite numeric fit
+        for mu in (PowerMu(1.0), ExponentialMu(0.1)):
+            for delay in (LogFractionDelay(), PowerLagDelay(0.5)):
+                pair = compute_limits(mu, delay, 0.5, 1.0)
+                assert pair.method == ANALYTIC and np.isinf(pair.L)
+
     def test_D_exponential(self):
         assert compute_limits(ExponentialMu(0.3), BoundedDelay(1.0), 0.0, 1.0).D \
             == pytest.approx(0.3)
@@ -295,6 +303,16 @@ class TestSearchXi:
                                            LimitPair(1.0, 0.0, ANALYTIC))
             assert found is not None
             assert np.all(margins < 0)
+
+    def test_no_weights_on_unconverged_limits(self):
+        # the same system finds weights when the estimate converged
+        rng = np.random.default_rng(20)
+        r = DilationMap((1.0, 1.0, 1.0))
+        f, g = random_stable_linear_metzler(rng, 3)
+        for converged in (True, False):
+            limits = LimitPair(1.0, 0.0, NUMERIC, converged=converged)
+            found, xi, margins = search_xi(f, g, r, 1.0, 0.0, limits)
+            assert (found is not None) == converged
 
     def test_reports_best_attempt_on_failure(self):
         f = PolyMap(1, [[(1.0, (1.0,))]])  # growing, no weights can help

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mustab import dde
 from mustab.dde import (
     HistorySpec,
     MonitorReport,
@@ -13,7 +14,15 @@ from mustab.dde import (
     simulate,
 )
 from mustab.fields import DilationMap, PolyMap
-from mustab.rates import BoundedDelay, LogMu, PowerMu, TabulatedDelay, TabulatedMu
+from mustab.rates import (
+    BoundedDelay,
+    LogMu,
+    PowerMu,
+    ProportionalDelay,
+    RateError,
+    TabulatedDelay,
+    TabulatedMu,
+)
 
 
 def zero_map(n):
@@ -95,6 +104,79 @@ class TestTrajectory:
         traj = simulate(scalar_decay(), zero_map(1), BoundedDelay(1.0),
                         HistorySpec(np.ones(1)), cfg)
         assert np.all(traj.xs >= 0.0)
+
+
+def scalar(c, e):
+    return PolyMap(1, [[(c, (e,))]])
+
+
+def fixed_step_end(f, g, delay, t_end, h):
+    # rho = 0 and h_min = h: every step is h, and a rejected one raises
+    traj = simulate(f, g, delay, HistorySpec(np.ones(1)),
+                    SimConfig(t_start=0.0, t_end=t_end, rho=0.0, h_min=h))
+    return traj.xs[-1, 0]
+
+
+class TestRosenbrock:
+    def test_quadratic_decay_is_exact(self):
+        # x' = -x^2, x = 1/(1 + t): the scheme reproduces it to rounding at
+        # any step, so its order shows on the cubic below
+        for h in (0.2, 0.1):
+            assert fixed_step_end(scalar(-1.0, 2.0), zero_map(1), BoundedDelay(1.0),
+                                  4.0, h) == pytest.approx(0.2, abs=1e-14)
+
+    def test_observed_order_on_cubic_decay(self):
+        # x' = -x^3, x = 1/sqrt(1 + 2t)
+        errs = [abs(fixed_step_end(scalar(-1.0, 3.0), zero_map(1), BoundedDelay(1.0),
+                                   4.0, h) - 1.0 / 3.0) for h in (0.1, 0.05, 0.025)]
+        assert np.all(np.log2(np.divide(errs[:-1], errs[1:])) >= 2.6)
+
+    def test_observed_order_with_delayed_forcing(self):
+        # x' = -x^2 + x(t/2)^2 / 2 from t = 0: d(t) > t_start for t > 0, so
+        # the forcing is smooth; orders from successive halvings of h
+        ends = [fixed_step_end(scalar(-1.0, 2.0), scalar(0.5, 2.0), ProportionalDelay(0.5),
+                               6.0, h) for h in (0.2, 0.1, 0.05, 0.025)]
+        diffs = np.abs(np.diff(ends))
+        assert np.all(np.log2(diffs[:-1] / diffs[1:]) >= 2.6)
+
+    def test_stiff_linear_scalar(self):
+        # x' = -1e4 x + 5e3 x(t - 1), unit history: after layers of width
+        # 1e-4 at each integer time, x = 2**-k on (k - 1, k]; steps of 0.05
+        # are 500 relaxation times and none may be rejected
+        f, g = scalar(-1e4, 1.0), scalar(5e3, 1.0)
+        traj = simulate(f, g, BoundedDelay(1.0), HistorySpec(np.ones(1)),
+                        SimConfig(t_start=0.0, t_end=10.0, rho=0.0, h_min=0.05))
+        assert np.all(traj.xs > 0.0)
+        for k in (2, 5, 10):
+            assert traj.sample(float(k))[0] == pytest.approx(2.0 ** -k, rel=1e-6)
+
+    def test_stiff_decay_to_zero_is_rejected_not_clamped(self):
+        # x' = -1e4 x with h = 0.05 drives the raw state below zero; the
+        # step is rejected, and with h_min = h that is an error
+        with pytest.raises(SimulationError):
+            fixed_step_end(scalar(-1e4, 1.0), zero_map(1), BoundedDelay(1.0), 1.0, 0.05)
+
+    def test_extinction_in_finite_time_is_an_error(self):
+        # x' = -sqrt(x) reaches 0 at t = 2, past which every step would
+        # leave the orthant; the state is not clamped to x_floor
+        with pytest.raises(SimulationError):
+            simulate(scalar(-1.0, 0.5), zero_map(1), BoundedDelay(1.0),
+                     HistorySpec(np.ones(1)), SimConfig(t_start=0.0, t_end=5.0))
+
+    def test_blowup_with_steps_above_h_min(self):
+        # x' = x^3 from x = 5 at t = 1 blows up at t = 1.02; the policy step
+        # is 0.01 and h_min 1e-6
+        cfg = SimConfig(t_start=1.0, t_end=2.0, rho=1e-2, h_min=1e-6)
+        with pytest.raises(SimulationError):
+            simulate(scalar(1.0, 3.0), zero_map(1), BoundedDelay(1.0),
+                     HistorySpec(5.0 * np.ones(1)), cfg)
+
+    def test_delay_domain_checked_before_first_step(self, monkeypatch):
+        monkeypatch.setattr(dde, "jacobian", lambda *a: pytest.fail("stepped"))
+        d = TabulatedDelay([0.0, 1.0, 2.0, 3.0], [0.5, 0.5, 0.5, 0.5])
+        cfg = SimConfig(t_start=0.0, t_end=5.0)
+        with pytest.raises(RateError, match="valid on"):
+            simulate(scalar_decay(), zero_map(1), d, HistorySpec(np.ones(1)), cfg)
 
 
 class TestErrorPaths:

@@ -200,6 +200,38 @@ class TestScalarSystems:
         assert rep.monitor.burn_in > 1.0 and rep.monitor.burn_in_found
 
 
+class TestLimitRegressions:
+    def run_criterion(self, tmp_path, obj):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        code = cli_main(["check", "transform", "criterion", "--input", str(path),
+                         "--out", str(out)])
+        with open(out / "report.json") as fh:
+            return code, json.load(fh)["criterion"]
+
+    def test_power_gauge_under_logfraction_delay_not_certified(self, tmp_path):
+        # mu(t)/mu(d(t)) grows like ln t, so L is infinite; a numeric fit
+        # read L = 575.6 as converged and certified with margin -36.2
+        obj = json.loads(scalar_doc([{"c": 0.001, "e": [1.5]}], np.e))
+        obj["f"] = [[{"c": -50.0, "e": [1.5]}]]
+        obj.update(mu={"family": "power", "beta": 1.0}, delay={"family": "logfraction"})
+        code, crit = self.run_criterion(tmp_path, obj)
+        assert code == 1
+        assert crit["verdict"] == "INCONCLUSIVE"
+        assert crit["L"] == float("inf")
+
+    def test_tabulated_gauge_from_one_under_bounded_delay(self, tmp_path):
+        # d(t) = t - 2 < 0 at the first probe times, where mu is undefined
+        t = [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6]
+        obj = json.loads(scalar_doc([{"c": 0.1, "e": [2.0]}], 2.0))
+        obj.update(mu={"family": "table", "t": t, "mu": np.log1p(t).tolist()},
+                   delay={"family": "bounded", "tau_max": 2.0})
+        code, crit = self.run_criterion(tmp_path, obj)
+        assert code == 0
+        assert crit["L"] == pytest.approx(1.0, rel=0.01)
+
+
 class TestCli:
     def run_cli(self, tmp_path, *args):
         out = str(tmp_path / "out")
