@@ -11,11 +11,13 @@ stages sit at t and t + h, so a step needs one new delayed lookup.  The
 step is the policy's.  A step is rejected and halved, never clamped, when
 its state leaves the orthant, when its estimate is of order one, or when a
 growing mode of the Jacobian takes it to the scheme's pole; below h_min
-that is a SimulationError.  Dense output is cubic Hermite on stored
-(state, right-hand side) node pairs, which is also how delayed state
-lookups are served.  Everything runs in the original x coordinates; the
-transformed z quantities are derived from the trajectory afterwards, which
-avoids the division by z_i near the origin.
+that is a SimulationError.  With no growing mode, a rejected step is the
+scheme overshooting a stable mode, not a blow-up, and it may shrink below
+h_min down to the stable scale of the Jacobian.  Dense output is cubic
+Hermite on stored (state, right-hand side) node pairs, which is also how
+delayed state lookups are served.  Everything runs in the original x
+coordinates; the transformed z quantities are derived from the trajectory
+afterwards, which avoids the division by z_i near the origin.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ _EST_REJECT = 0.5
 # step that takes a growing mode of the Jacobian there (a finite-time
 # blow-up ahead) is rejected before it is made
 _POLE = 1.0 / _GAMMA
+# the stability function R(z) = (1 - z + z^3/6) / (1 - z/2)^4 is negative
+# for z < -2.85, so a step far above a stable mode's relaxation time can
+# drive a component below zero; with h * |lambda| at most 2 * _STABLE_Z,
+# R stays positive
+_STABLE_Z = 1.0
 
 
 class SimulationError(RuntimeError):
@@ -138,14 +145,16 @@ class Trajectory:
         )
 
 
-def _growth_rate(J):
-    """The spectral abscissa of J when Gershgorin's bound on it, the largest
-    J_ii + sum_{j != i} |J_ij|, is positive (a mode may grow), else that
-    bound."""
-    bound = (np.abs(J).sum(axis=1) + 2.0 * np.minimum(J.diagonal(), 0.0)).max()
+def _modes(J):
+    """(grow, stiff): the spectral abscissa of J when Gershgorin's bound on
+    it, the largest J_ii + sum_{j != i} |J_ij|, is positive (a mode may
+    grow), else that bound; and Gershgorin's bound on the spectral radius,
+    the largest sum_j |J_ij|."""
+    rows = np.abs(J).sum(axis=1)
+    bound = (rows + 2.0 * np.minimum(J.diagonal(), 0.0)).max()
     if bound <= 0.0:
-        return bound
-    return np.linalg.eigvals(J).real.max()
+        return bound, rows.max()
+    return np.linalg.eigvals(J).real.max(), rows.max()
 
 
 def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
@@ -164,33 +173,32 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
     ts = [t]
     xs = [x]
     fs = []
-    flagged = False
     tol_ahead = 1e-9
 
     def delayed_forcing(ts_):
-        """g(x(d(ts_))), and whether it came from the history."""
-        nonlocal flagged
+        """g(x(d(ts_))), whether it came from the history, and whether it
+        extrapolated past the last node."""
         d = float(d_of(ts_))
         if d > ts_ + tol_ahead * max(1.0, abs(ts_)):
             raise SimulationError(
                 "delayed time %g ahead of evaluation time %g" % (d, ts_)
             )
         if d <= cfg.t_start:
-            return g_eval(np.maximum(history.value(d), 0.0)), True
+            return g_eval(np.maximum(history.value(d), 0.0)), True, False
         k = bisect.bisect_right(ts, d)
-        if k >= len(ts):
+        ahead = k >= len(ts)
+        if ahead:
             # inside the current step: extend the last completed Hermite
             # interval (d(t) < t strictly)
-            flagged = True
             k = len(ts) - 1
             if k == 0:
                 # no completed step yet: extend the first node linearly
                 x0 = xs[0] if not fs else xs[0] + (d - ts[0]) * fs[0]
-                return g_eval(np.maximum(x0, 0.0)), False
+                return g_eval(np.maximum(x0, 0.0)), False, True
         xd = _hermite(d, ts[k - 1], ts[k], xs[k - 1], xs[k], fs[k - 1], fs[k])
-        return g_eval(np.maximum(xd, 0.0)), False
+        return g_eval(np.maximum(xd, 0.0)), False, ahead
 
-    G0, hist0 = delayed_forcing(t)
+    G0, hist0, flagged = delayed_forcing(t)
     F0 = f_eval(x) + G0
     fs.append(F0)
     eye = np.eye(len(x))
@@ -201,10 +209,15 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
     while t < t_end - eps_end:
         h = min(cfg.step(t), t_end - t)
         J = jacobian(f, np.maximum(x, 1e-30))
-        grow = _growth_rate(J)
+        grow, stiff = _modes(J)
+        # with no growing mode, a rejected step is the scheme overshooting a
+        # stable mode, not a blow-up: the step may then shrink below h_min,
+        # down to the stable scale of J, as the mode needs
+        h_stable = _STABLE_Z / stiff if grow <= 0.0 and stiff > 0.0 else np.inf
+        h_floor = min(cfg.h_min, h_stable)
         while True:
             if grow * h < _POLE:
-                G1, hist1 = delayed_forcing(t + h)
+                G1, hist1, ahead = delayed_forcing(t + h)
                 if hist_prev:
                     # the forcing may have a kink where d(t) leaves the history
                     Ft = (G1 - G0) / h
@@ -228,14 +241,16 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                     F_new = f_eval(x_new) + G1
                     if np.isfinite(F_new).all():
                         break
-            h *= 0.5
-            if h < cfg.h_min:
+            # halve, or go straight to twice the stable scale from far above
+            h = min(0.5 * h, 2.0 * h_stable)
+            if h < h_floor or t + h == t:
                 raise SimulationError(
-                    "no step of at least h_min keeps the state %s at t=%g "
-                    "positive, finite and accurate" % (x, t)
+                    "no step of at least %g keeps the state %s at t=%g "
+                    "positive, finite and accurate" % (h_floor, x, t)
                 )
         t = t + h
         x, F0 = x_new, F_new
+        flagged = flagged or ahead
         G_prev, G0, h_prev = G0, G1, h
         hist_prev, hist0 = hist0, hist1
         ts.append(t)

@@ -168,7 +168,8 @@ class DelayFunction:
 
     def tau(self, t):
         self._check_t(t)
-        return self._tau(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        return t - self.d(t)
 
     def delayed_time(self, t):
         self._check_t(t)
@@ -177,9 +178,6 @@ class DelayFunction:
     def d(self, t):
         """d(t) without the domain check, for a caller that checked the
         whole range it evaluates on once (the integrator)."""
-        return t - self._tau(t)
-
-    def _tau(self, t):
         raise NotImplementedError
 
     def _check_t(self, t):
@@ -204,9 +202,6 @@ class BoundedDelay(DelayFunction):
         if self.tau_max < 0:
             raise RateError("bounded delay requires tau_max >= 0")
 
-    def _tau(self, t):
-        return np.full_like(t, self.tau_max)
-
     def d(self, t):
         return t - self.tau_max
 
@@ -222,9 +217,6 @@ class ProportionalDelay(DelayFunction):
         if not 0.0 < self.q < 1.0:
             raise RateError("proportional delay requires q in (0, 1)")
 
-    def _tau(self, t):
-        return (1.0 - self.q) * t
-
     def d(self, t):
         return self.q * t
 
@@ -237,9 +229,6 @@ class LogFractionDelay(DelayFunction):
 
     family = "logfraction"
     t_min = float(np.e)
-
-    def _tau(self, t):
-        return t - t / np.log(t)
 
     def d(self, t):
         return t / np.log(t)
@@ -255,9 +244,6 @@ class PowerLagDelay(DelayFunction):
         self.alpha = float(alpha)
         if not 0.0 < self.alpha < 1.0:
             raise RateError("powerlag delay requires alpha in (0, 1)")
-
-    def _tau(self, t):
-        return t - t ** self.alpha
 
     def d(self, t):
         return t ** self.alpha
@@ -288,8 +274,8 @@ class TabulatedDelay(DelayFunction):
         d = grid - self._interp(grid)
         self.delayed_time_monotone = bool(np.all(np.diff(d) >= -1e-9))
 
-    def _tau(self, t):
-        return self._interp(t)
+    def d(self, t):
+        return t - self._interp(t)
 
     def params(self):
         return {"t": self._times.tolist(), "tau": self._taus.tolist()}

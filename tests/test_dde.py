@@ -111,9 +111,10 @@ def scalar(c, e):
 
 
 def fixed_step_end(f, g, delay, t_end, h):
-    # rho = 0 and h_min = h: every step is h, and a rejected one raises
+    # rho = 0 and h_min = h: every step is h unless one is rejected
     traj = simulate(f, g, delay, HistorySpec(np.ones(1)),
                     SimConfig(t_start=0.0, t_end=t_end, rho=0.0, h_min=h))
+    assert len(traj.ts) == round(t_end / h) + 1
     return traj.xs[-1, 0]
 
 
@@ -146,15 +147,37 @@ class TestRosenbrock:
         f, g = scalar(-1e4, 1.0), scalar(5e3, 1.0)
         traj = simulate(f, g, BoundedDelay(1.0), HistorySpec(np.ones(1)),
                         SimConfig(t_start=0.0, t_end=10.0, rho=0.0, h_min=0.05))
+        assert len(traj.ts) == 201
         assert np.all(traj.xs > 0.0)
         for k in (2, 5, 10):
             assert traj.sample(float(k))[0] == pytest.approx(2.0 ** -k, rel=1e-6)
 
-    def test_stiff_decay_to_zero_is_rejected_not_clamped(self):
-        # x' = -1e4 x with h = 0.05 drives the raw state below zero; the
-        # step is rejected, and with h_min = h that is an error
-        with pytest.raises(SimulationError):
-            fixed_step_end(scalar(-1e4, 1.0), zero_map(1), BoundedDelay(1.0), 1.0, 0.05)
+    def test_stiff_decay_stays_positive(self):
+        # x' = -1e4 x under the default settings: the policy's steps of
+        # h_min = 1e-3 are 10 relaxation times, where the scheme drives the
+        # raw state below zero; with no growing mode the step shrinks below
+        # h_min, to the stable scale, instead of raising or clamping
+        traj = simulate(scalar(-1e4, 1.0), zero_map(1), BoundedDelay(1.0),
+                        HistorySpec(np.ones(1)), SimConfig(t_start=0.0, t_end=0.1))
+        x = traj.xs[:, 0]
+        assert np.all(x > 0.0) and np.all(np.diff(x) <= 0.0)
+        assert x[1] < np.exp(-1.0) and x[-1] <= 1e-290
+
+    def test_rejected_trial_steps_do_not_flag_extrapolation(self):
+        # tau = 5e-4 is below the policy's step of 1e-3, so every first trial
+        # reads x(d) past the last node; x' = -1e4 x rejects each of them,
+        # and the accepted steps read behind the last node
+        traj = simulate(scalar(-1e4, 1.0), scalar(1.0, 1.0), BoundedDelay(5e-4),
+                        HistorySpec(np.ones(1)), SimConfig(t_start=0.0, t_end=0.05))
+        assert np.all(np.diff(traj.ts) < 5e-4)
+        assert not traj.extrapolation_flagged
+
+    def test_estimate_guard_rejects(self, monkeypatch):
+        # the cubic decay runs at h = 0.1 (above); with the guard at 1e-12
+        # every step's estimate exceeds it, and halving past h_min raises
+        monkeypatch.setattr(dde, "_EST_REJECT", 1e-12)
+        with pytest.raises(SimulationError, match="accurate"):
+            fixed_step_end(scalar(-1.0, 3.0), zero_map(1), BoundedDelay(1.0), 4.0, 0.1)
 
     def test_extinction_in_finite_time_is_an_error(self):
         # x' = -sqrt(x) reaches 0 at t = 2, past which every step would

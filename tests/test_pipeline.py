@@ -232,6 +232,23 @@ class TestLimitRegressions:
         assert crit["L"] == pytest.approx(1.0, rel=0.01)
 
 
+class TestStiffSimulation:
+    def test_stiff_scalar_all_stages(self, tmp_path):
+        # x' = -1e4 x + 0.1 x(t - 1): from phi0 = 1 the state sits far above
+        # its quasi-steady state 1e-5 x(t - 1), and the default steps are 10
+        # relaxation times; the step shrinks instead of failing the run
+        obj = json.loads(scalar_doc([{"c": 0.1, "e": [1.0]}], 1.0))
+        obj["f"] = [[{"c": -1e4, "e": [1.0]}]]
+        obj["sim"]["t_end"] = 4.0
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(obj))
+        assert cli_main(["all", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "report.json") as fh:
+            sim = json.load(fh)["simulation"]
+        assert 0.0 < sim["final_state"][0] < 1e-14
+        assert sim["v_growth_ratio"] == 1.0
+
+
 class TestCli:
     def run_cli(self, tmp_path, *args):
         out = str(tmp_path / "out")
