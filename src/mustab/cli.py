@@ -5,7 +5,8 @@ Usage: mustab <stages> --input system.json --out outdir [--seed N]
 Stages are a comma- or space-separated subset of
 check, transform, criterion, simulate, fit, or the shorthand "all".
 Exit code 0 means every requested verdict passed, 1 means a check was
-inconclusive or refuted, 2 means the input or stage selection was invalid.
+inconclusive or refuted, 2 means the input or stage selection was invalid
+or the simulation failed (a blow-up, or too few nodes to fit a rate).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 
+from .dde import SimulationError
 from .pipeline import (
     STAGES,
     DocumentError,
@@ -59,7 +61,7 @@ def main(argv=None):
         report, traj, code = run_pipeline(doc, stages, seed=args.seed)
         mu = make_mu(doc.mu_spec) if traj is not None else None
         paths = emit_outputs(report, traj, args.out, mu=mu)
-    except (OSError, DocumentError, RateError) as e:
+    except (OSError, DocumentError, RateError, SimulationError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DilationMap, PolyMap, fast_evaluator, jacobian
+from .fields import DilationMap, PolyMap, fast_evaluator, field_and_jacobian, jacobian
 from .rates import DelayFunction, MuFunction, RateError
 
 # RODAS3 (Sandu et al., Atmos. Environ. 31, 1997) in the transformed form of
@@ -51,6 +51,8 @@ _POLE = 1.0 / _GAMMA
 # drive a component below zero; with h * |lambda| at most 2 * _STABLE_Z,
 # R stays positive
 _STABLE_Z = 1.0
+# the Jacobian is taken at max(x, _J_FLOOR): its entries divide by x
+_J_FLOOR = 1e-30
 
 
 class SimulationError(RuntimeError):
@@ -59,28 +61,17 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class HistorySpec:
-    """Initial function on (-inf, t_start]: a constant vector, optionally
-    overridden by a tabulated segment (constant-extended on both sides)."""
+    """Initial function on (-inf, t_start]: a constant vector."""
 
     phi0: np.ndarray
-    table_t: np.ndarray = None
-    table_x: np.ndarray = None
 
     def __post_init__(self):
         self.phi0 = np.asarray(self.phi0, dtype=float)
         if np.any(self.phi0 < 0):
             raise SimulationError("history must be componentwise nonnegative")
-        if self.table_t is not None:
-            self.table_t = np.asarray(self.table_t, dtype=float)
-            self.table_x = np.asarray(self.table_x, dtype=float)
-            if np.any(self.table_x < 0):
-                raise SimulationError("history must be componentwise nonnegative")
 
     def value(self, t):
-        if self.table_t is None:
-            return self.phi0
-        idx = np.clip(np.searchsorted(self.table_t, t), 0, len(self.table_t) - 1)
-        return self.table_x[idx]
+        return self.phi0
 
 
 @dataclass
@@ -157,6 +148,15 @@ def _modes(J):
     return np.linalg.eigvals(J).real.max(), rows.max()
 
 
+def _field_jacobian(f, f_eval, x):
+    """f(x) and the Jacobian of f at max(x, _J_FLOOR): one power table
+    serves both unless a component is below _J_FLOOR.  The term table is
+    read from f itself, since f_eval may be a wrapper of it."""
+    if x.min() >= _J_FLOOR:
+        return field_and_jacobian(f, x)
+    return f_eval(x), jacobian(f, np.maximum(x, _J_FLOOR))
+
+
 def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
              history: HistorySpec, cfg: SimConfig) -> Trajectory:
     """Integrate the delayed system; see the module docstring for the scheme."""
@@ -199,7 +199,8 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
         return g_eval(np.maximum(xd, 0.0)), False, ahead
 
     G0, hist0, flagged = delayed_forcing(t)
-    F0 = f_eval(x) + G0
+    F0, J = _field_jacobian(f, f_eval, x)
+    F0 += G0
     fs.append(F0)
     eye = np.eye(len(x))
     eps_end = 1e-12 * max(1.0, t_end)
@@ -208,7 +209,6 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
 
     while t < t_end - eps_end:
         h = min(cfg.step(t), t_end - t)
-        J = jacobian(f, np.maximum(x, 1e-30))
         grow, stiff = _modes(J)
         # with no growing mode, a rejected step is the scheme overshooting a
         # stable mode, not a blow-up: the step may then shrink below h_min,
@@ -238,7 +238,8 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                 est = np.abs(u4).max() / np.maximum(x, np.abs(x_new)).max()
                 if x_new.min() >= 0.0 and est <= _EST_REJECT:
                     x_new = np.maximum(x_new, cfg.x_floor)
-                    F_new = f_eval(x_new) + G1
+                    F_new, J_new = _field_jacobian(f, f_eval, x_new)
+                    F_new += G1
                     if np.isfinite(F_new).all():
                         break
             # halve, or go straight to twice the stable scale from far above
@@ -249,7 +250,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                     "positive, finite and accurate" % (h_floor, x, t)
                 )
         t = t + h
-        x, F0 = x_new, F_new
+        x, F0, J = x_new, F_new, J_new
         flagged = flagged or ahead
         G_prev, G0, h_prev = G0, G1, h
         hist_prev, hist0 = hist0, hist1

@@ -8,11 +8,19 @@ tabulated variants interpolate with a monotone piecewise cubic.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 
 class RateError(ValueError):
     pass
+
+
+def _pchip(times, values):
+    """The monotone piecewise cubic through (times, values).  scipy is
+    imported here, not with the module: only tables need it, and loading
+    it costs most of the package's import time."""
+    from scipy.interpolate import PchipInterpolator
+
+    return PchipInterpolator(times, values)
 
 
 class MuFunction:
@@ -138,17 +146,20 @@ class TabulatedMu(MuFunction):
         decade = times >= times[-1] / 10.0
         if decade.sum() >= 2 and values[decade][-1] <= values[decade][0]:
             raise RateError("tabulated mu is flat over its last decade")
-        self._interp = PchipInterpolator(times, values)
+        self._interp = _pchip(times, values)
         self._deriv = self._interp.derivative()
         self.t_min = times[0]
         self.t_max = times[-1]
         self._times = times
         self._values = values
 
-    def value(self, t):
-        self._check_t(t)
+    def _check_t(self, t):
+        super()._check_t(t)
         if np.any(np.asarray(t) > self.t_max):
             raise RateError("t beyond tabulated mu domain")
+
+    def value(self, t):
+        self._check_t(t)
         return self._interp(np.clip(t, self.t_min, self.t_max))
 
     def derivative(self, t):
@@ -264,7 +275,7 @@ class TabulatedDelay(DelayFunction):
             raise RateError("tabulated delay times must be strictly increasing")
         if np.any(taus < 0):
             raise RateError("tabulated delay must be nonnegative")
-        self._interp = PchipInterpolator(times, taus)
+        self._interp = _pchip(times, taus)
         self.t_min = times[0]
         self.t_max = times[-1]
         self._times = times

@@ -43,12 +43,6 @@ class TestHistorySpec:
         with pytest.raises(SimulationError):
             HistorySpec(np.array([-1.0]))
 
-    def test_tabulated_constant_extension(self):
-        h = HistorySpec(np.array([1.0]), table_t=np.array([0.0, 1.0]),
-                        table_x=np.array([[2.0], [3.0]]))
-        assert h.value(-10.0)[0] == 2.0
-        assert h.value(10.0)[0] == 3.0
-
 
 class TestSimConfig:
     def test_ordering(self):
@@ -195,7 +189,8 @@ class TestRosenbrock:
                      HistorySpec(5.0 * np.ones(1)), cfg)
 
     def test_delay_domain_checked_before_first_step(self, monkeypatch):
-        monkeypatch.setattr(dde, "jacobian", lambda *a: pytest.fail("stepped"))
+        for name in ("field_and_jacobian", "jacobian"):
+            monkeypatch.setattr(dde, name, lambda *a: pytest.fail("stepped"))
         d = TabulatedDelay([0.0, 1.0, 2.0, 3.0], [0.5, 0.5, 0.5, 0.5])
         cfg = SimConfig(t_start=0.0, t_end=5.0)
         with pytest.raises(RateError, match="valid on"):

@@ -14,6 +14,7 @@ from mustab.fields import (
     check_omega_condition,
     eval_field,
     fast_evaluator,
+    field_and_jacobian,
     homogeneity_degree,
     jacobian,
     NOT_HOMOGENEOUS,
@@ -146,6 +147,18 @@ class TestJacobian:
     def test_requires_positive_point(self):
         with pytest.raises(FieldError):
             jacobian(paper_f(), np.array([1.0, 0.0]))
+
+    def test_fused_field_is_the_evaluator_bitwise(self):
+        # the integrator takes F(x) from the Jacobian's power table, so it
+        # must be bitwise the evaluator's value, or trajectories move
+        rng = np.random.default_rng(5)
+        maps = [paper_f(), paper_g(), PolyMap(1, [[(-1.0, (2.0,))]]),
+                PolyMap(1, [[(0.1, (2.5,)), (-3.0, (1.0,))]])]
+        for F in maps:
+            for x in rng.uniform(0.01, 3.0, size=(200, F.n)):
+                value, J = field_and_jacobian(F, x)
+                assert np.array_equal(value, F(x))
+                assert np.array_equal(J, jacobian(F, x))
 
 
 class TestCooperative:

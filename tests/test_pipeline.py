@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from mustab.rates import make_mu
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PAPER_DOC = os.path.join(HERE, "..", "examples", "paper_sec5.json")
+SRC = os.path.join(HERE, "..", "src")
 
 
 def paper_text():
@@ -276,8 +279,54 @@ class TestCli:
                                str(tmp_path / "absent.json"))
         assert code == 2
 
+    def run_failing_simulation(self, tmp_path, capsys, **overrides):
+        doc_path = tmp_path / "sys.json"
+        doc_path.write_text(small_doc(**overrides))
+        code, _ = self.run_cli(tmp_path, "all", "--input", str(doc_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_blow_up_exits_two(self, tmp_path, capsys):
+        err = self.run_failing_simulation(
+            tmp_path, capsys, n=1,
+            f=[[{"c": 1.0, "e": [3]}]], g=[[{"c": 0.1, "e": [3]}]],
+            r=[1.0], xi=[1.0], r_star=1.0, history={"phi0": [5.0]},
+            delay={"family": "bounded", "tau_max": 1.0}, mu={"family": "log"},
+            sim={"t_start": 1.0, "t_end": 2.0})
+        assert "no step" in err
+
+    def test_short_fit_window_exits_two(self, tmp_path, capsys):
+        err = self.run_failing_simulation(
+            tmp_path, capsys, n=1,
+            f=[[{"c": -1.0, "e": [2]}]], g=[[{"c": 0.1, "e": [2]}]],
+            r=[1.0], xi=[1.0], r_star=1.0, history={"phi0": [1.0]},
+            delay={"family": "bounded", "tau_max": 1.0}, mu={"family": "log"},
+            sim={"t_start": 2.0, "t_end": 2.005})
+        assert "fewer than 10 usable nodes" in err
+
     def test_comma_separated_stages(self, tmp_path):
         doc_path = tmp_path / "sys.json"
         doc_path.write_text(small_doc())
         code, _ = self.run_cli(tmp_path, "check,transform", "--input", str(doc_path))
         assert code == 0
+
+
+class TestImportFootprint:
+    def test_closed_form_document_never_loads_scipy(self):
+        # only the tabulated families need scipy; the reference document
+        # has none, so a fresh interpreter must get through it without
+        script = (
+            "import sys\n"
+            "import mustab\n"
+            "with open(%r) as fh:\n"
+            "    doc = mustab.parse_system(fh.read())\n"
+            "mustab.run_pipeline(doc, ['check', 'transform', 'criterion'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        ) % PAPER_DOC
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+        assert out.stdout.strip() == "[]"

@@ -76,6 +76,15 @@ class TestTabulatedMu:
         with pytest.raises(RateError):
             mu.value(9.0)
 
+    def test_derivative_domain_enforced(self):
+        # value and derivative agree on the domain: both raise past t_max
+        mu = TabulatedMu([1, 2, 4, 8], [1, 2, 3, 4])
+        assert mu.derivative(8.0) > 0
+        with pytest.raises(RateError, match="beyond"):
+            mu.derivative(9.0)
+        with pytest.raises(RateError, match="beyond"):
+            mu.derivative(np.array([2.0, 9.0]))
+
 
 class TestDelayFamilies:
     def test_bounded(self):
