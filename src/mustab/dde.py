@@ -13,16 +13,22 @@ its state leaves the orthant, when its estimate is of order one, or when a
 growing mode of the Jacobian takes it to the scheme's pole; below h_min
 that is a SimulationError.  With no growing mode, a rejected step is the
 scheme overshooting a stable mode, not a blow-up, and it may shrink below
-h_min down to the stable scale of the Jacobian.  Dense output is cubic
-Hermite on stored (state, right-hand side) node pairs, which is also how
-delayed state lookups are served.  Everything runs in the original x
-coordinates; the transformed z quantities are derived from the trajectory
-afterwards, which avoids the division by z_i near the origin.
+h_min down to the stable scale of the Jacobian.  The steps after such a
+cut start at that scale, and the policy's step is tried again after 1, 2,
+4, ... of them, so a decayed stiff component does not cost a rejected
+trial per step.  Dense output is cubic Hermite on stored (state,
+right-hand side) node pairs, kept in arrays that double when full, which
+is also how delayed state lookups are served.  Without a rejection the
+policy's steps do not depend on the state, so they are planned ahead; the
+lookups of planned steps whose delayed times lie behind the last node need
+only nodes already made, and are served in one pass (the method-of-steps
+observation, Bellen & Zennaro 2003, section 4.1).  Everything runs in the
+original x coordinates; the transformed z quantities are derived from the
+trajectory afterwards, which avoids the division by z_i near the origin.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +59,9 @@ _POLE = 1.0 / _GAMMA
 _STABLE_Z = 1.0
 # the Jacobian is taken at max(x, _J_FLOOR): its entries divide by x
 _J_FLOOR = 1e-30
+# the most policy steps planned ahead, whose lookups behind the last node
+# are served in one pass
+_BLOCK = 256
 
 
 class SimulationError(RuntimeError):
@@ -136,16 +145,28 @@ class Trajectory:
         )
 
 
-def _modes(J):
-    """(grow, stiff): the spectral abscissa of J when Gershgorin's bound on
-    it, the largest J_ii + sum_{j != i} |J_ij|, is positive (a mode may
-    grow), else that bound; and Gershgorin's bound on the spectral radius,
-    the largest sum_j |J_ij|."""
-    rows = np.abs(J).sum(axis=1)
-    bound = (rows + 2.0 * np.minimum(J.diagonal(), 0.0)).max()
+def _growth(J):
+    """A bound on the growth rate of J's modes: the spectral abscissa when
+    Gershgorin's bound on it, the largest J_ii + sum_{j != i} |J_ij|, is
+    positive (a mode may grow), else that bound."""
+    bound = (np.abs(J).sum(axis=1) + 2.0 * np.minimum(J.diagonal(), 0.0)).max()
     if bound <= 0.0:
-        return bound, rows.max()
-    return np.linalg.eigvals(J).real.max(), rows.max()
+        return bound
+    return np.linalg.eigvals(J).real.max()
+
+
+def _stable_scale(J, grow):
+    """_STABLE_Z over Gershgorin's bound on the spectral radius of J, the
+    largest sum_j |J_ij|; infinite when a mode may grow."""
+    stiff = np.abs(J).sum(axis=1).max()
+    return _STABLE_Z / stiff if grow <= 0.0 and stiff > 0.0 else np.inf
+
+
+def _forcing_slope(G_prev, G0, G1, h_prev, h):
+    """Derivative at the middle node of the parabola through the forcing at
+    t - h_prev, t and t + h: second order, so the scheme keeps its order 3
+    on a smooth forcing.  Rows of a block of steps, or one step."""
+    return ((G1 - G0) * (h_prev / h) + (G0 - G_prev) * (h / h_prev)) / (h + h_prev)
 
 
 def _field_jacobian(f, f_eval, x):
@@ -162,6 +183,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
     """Integrate the delayed system; see the module docstring for the scheme."""
     t = float(cfg.t_start)
     t_end = float(cfg.t_end)
+    eps_end = 1e-12 * max(1.0, t_end)
     # one domain check for the whole horizon: every lookup below is at a
     # time in [t_start, t_end]
     delay.delayed_time(np.array([t, t_end]))
@@ -170,10 +192,23 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
 
     f_eval = fast_evaluator(f)
     g_eval = fast_evaluator(g)
-    ts = [t]
-    xs = [x]
-    fs = []
+    # the nodes, in arrays that double when full; fs[0] is 0 until the first
+    # right-hand side is known, so the first node extends as a constant
+    ts = np.empty(1024)
+    xs = np.empty((1024, len(x)))
+    fs = np.zeros((1024, len(x)))
+    ts[0], xs[0] = t, x
+    N = 1
     tol_ahead = 1e-9
+
+    def forcing(d):
+        """g(x(d)) for an array of delayed times above t_start, by cubic
+        Hermite on the node interval around each; past the last node the
+        last interval is extended."""
+        k = np.minimum(np.searchsorted(ts[:N], d, side="right"), N - 1)
+        xd = _hermite(d[:, None], ts[k - 1, None], ts[k, None],
+                      xs[k - 1], xs[k], fs[k - 1], fs[k])
+        return g_eval(np.maximum(xd, 0.0))
 
     def delayed_forcing(ts_):
         """g(x(d(ts_))), whether it came from the history, and whether it
@@ -185,47 +220,74 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             )
         if d <= cfg.t_start:
             return g_eval(np.maximum(history.value(d), 0.0)), True, False
-        k = bisect.bisect_right(ts, d)
-        ahead = k >= len(ts)
-        if ahead:
-            # inside the current step: extend the last completed Hermite
-            # interval (d(t) < t strictly)
-            k = len(ts) - 1
-            if k == 0:
-                # no completed step yet: extend the first node linearly
-                x0 = xs[0] if not fs else xs[0] + (d - ts[0]) * fs[0]
-                return g_eval(np.maximum(x0, 0.0)), False, True
-        xd = _hermite(d, ts[k - 1], ts[k], xs[k - 1], xs[k], fs[k - 1], fs[k])
-        return g_eval(np.maximum(xd, 0.0)), False, ahead
+        if N == 1:
+            # no completed step yet: extend the first node linearly
+            return g_eval(np.maximum(xs[0] + (d - ts[0]) * fs[0], 0.0)), False, True
+        # at or past the last node, inside the current step: the last
+        # completed Hermite interval is extended (d(t) < t strictly)
+        return forcing(np.array([d]))[0], False, d >= ts[N - 1]
+
+    def plan(t):
+        """The policy's next steps from t, up to _BLOCK of them, and the
+        delayed times at their ends: without a rejection the step sequence
+        does not depend on the state."""
+        steps, ends = [], []
+        while t < t_end - eps_end and len(steps) < _BLOCK:
+            h = min(cfg.step(t), t_end - t)
+            t = t + h
+            steps.append(h)
+            ends.append(t)
+        return steps, d_of(np.array(ends))
 
     G0, hist0, flagged = delayed_forcing(t)
     F0, J = _field_jacobian(f, f_eval, x)
     F0 += G0
-    fs.append(F0)
+    fs[0] = F0
     eye = np.eye(len(x))
-    eps_end = 1e-12 * max(1.0, t_end)
     G_prev = h_prev = None
     hist_prev = True
+    # planned steps ph with delayed times pd; the next is ph[i], and the
+    # lookups of steps b0 <= i < b1 are served as the rows of Gb and Ftb
+    ph, pd, i, b0, b1 = [], None, 0, 0, 0
+    # steps left that start at the stable scale, and how many the next
+    # step cut to it sets: twice as many each time the policy's step
+    # between them was cut again
+    carry, span = 0, 1
 
     while t < t_end - eps_end:
-        h = min(cfg.step(t), t_end - t)
-        grow, stiff = _modes(J)
-        # with no growing mode, a rejected step is the scheme overshooting a
-        # stable mode, not a blow-up: the step may then shrink below h_min,
-        # down to the stable scale of J, as the mode needs
-        h_stable = _STABLE_Z / stiff if grow <= 0.0 and stiff > 0.0 else np.inf
-        h_floor = min(cfg.h_min, h_stable)
+        if i >= len(ph) and not carry:
+            ph, pd = plan(t)
+            i = b0 = b1 = 0
+        h = ph[i] if i < len(ph) else min(cfg.step(t), t_end - t)
+        grow = _growth(J)
+        h_stable = None
+        carried, cut = carry > 0, False
+        if carried:
+            # a stiff component has decayed: start where the stable-mode
+            # shrink below arrives after rejecting the policy's step
+            carry -= 1
+            h_stable = _stable_scale(J, grow)
+            if 2.0 * h_stable < 0.5 * h:
+                h = 2.0 * h_stable
+        elif (b1 <= i < len(ph) and not (hist0 or hist_prev)
+              and cfg.t_start < pd[i] < t):
+            # the lookups of the planned steps behind the last node depend
+            # only on nodes already made: serve them in one pass
+            ok = (pd[i:] > cfg.t_start) & (pd[i:] < t)
+            b0, b1 = i, i + (len(ok) if ok.all() else int(ok.argmin()))
+            Gb = forcing(pd[b0:b1])
+            hb = np.array([h_prev] + ph[b0:b1])[:, None]
+            Gs = np.vstack((G_prev, G0, Gb))
+            Ftb = _forcing_slope(Gs[:-2], Gs[1:-1], Gs[2:], hb[:-1], hb[1:])
+        blocked = b0 <= i < b1
         while True:
             if grow * h < _POLE:
-                G1, hist1, ahead = delayed_forcing(t + h)
-                if hist_prev:
-                    # the forcing may have a kink where d(t) leaves the history
-                    Ft = (G1 - G0) / h
+                if blocked:
+                    G1, hist1, ahead, Ft = Gb[i - b0], False, False, Ftb[i - b0]
                 else:
-                    # derivative at t of the parabola through the forcing at
-                    # t - h_prev, t and t + h: second order, so the scheme
-                    # keeps its order 3 on a smooth forcing
-                    Ft = ((G1 - G0) * (h_prev / h) + (G0 - G_prev) * (h / h_prev)) / (h + h_prev)
+                    G1, hist1, ahead = delayed_forcing(t + h)
+                    # the forcing may have a kink where d(t) leaves the history
+                    Ft = (G1 - G0) / h if hist_prev else _forcing_slope(G_prev, G0, G1, h_prev, h)
                 Winv = np.linalg.inv(eye / (_GAMMA * h) - J)
                 u1 = Winv @ (F0 + (0.5 * h) * Ft)
                 u2 = Winv @ (F0 + (4.0 / h) * u1 + (1.5 * h) * Ft)
@@ -235,15 +297,26 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                 u4 = Winv @ (f_eval(np.maximum(y4, 0.0)) + G1
                              + (u1 - u2 - (8.0 / 3.0) * u3) / h)
                 x_new = y4 + u4
-                est = np.abs(u4).max() / np.maximum(x, np.abs(x_new)).max()
+                est = np.abs(u4).max() / max(x.max(), np.abs(x_new).max())
                 if x_new.min() >= 0.0 and est <= _EST_REJECT:
                     x_new = np.maximum(x_new, cfg.x_floor)
                     F_new, J_new = _field_jacobian(f, f_eval, x_new)
                     F_new += G1
                     if np.isfinite(F_new).all():
                         break
+            # a rejection leaves the plan
+            ph, blocked, i, b0, b1 = [], False, 0, 0, 0
+            if h_stable is None:
+                # with no growing mode, a rejected step is the scheme
+                # overshooting a stable mode, not a blow-up: the step may
+                # then shrink below h_min, down to the stable scale of J
+                h_stable = _stable_scale(J, grow)
             # halve, or go straight to twice the stable scale from far above
-            h = min(0.5 * h, 2.0 * h_stable)
+            if 2.0 * h_stable < 0.5 * h:
+                h, cut = 2.0 * h_stable, True
+            else:
+                h = 0.5 * h
+            h_floor = min(cfg.h_min, h_stable)
             if h < h_floor or t + h == t:
                 raise SimulationError(
                     "no step of at least %g keeps the state %s at t=%g "
@@ -254,11 +327,17 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
         flagged = flagged or ahead
         G_prev, G0, h_prev = G0, G1, h
         hist_prev, hist0 = hist0, hist1
-        ts.append(t)
-        xs.append(x)
-        fs.append(F0)
+        if cut:
+            carry, span = span, 2 * span
+        elif not carried:
+            span = 1
+        i += 1
+        if N == len(ts):
+            ts, xs, fs = (np.concatenate((a, np.empty_like(a))) for a in (ts, xs, fs))
+        ts[N], xs[N], fs[N] = t, x, F0
+        N += 1
 
-    return Trajectory(ts, np.vstack(xs), np.vstack(fs), flagged)
+    return Trajectory(ts[:N].copy(), xs[:N].copy(), fs[:N].copy(), flagged)
 
 
 @dataclass
@@ -350,7 +429,7 @@ def export_csv(traj: Trajectory, path, V=None):
     if V is not None:
         cols.append("V")
         data.append(np.asarray(V))
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in zip(*data):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        fh.writelines(row % r for r in zip(*(np.asarray(c).tolist() for c in data)))

@@ -356,11 +356,10 @@ def emit_outputs(report: RunReport, traj, out_dir, mu=None):
             mask = np.all(traj.xs > 0.0, axis=1)
             lnmu = np.log(np.asarray(mu.value(traj.ts[mask])))
             cols = ["lnmu_t"] + ["ln_x%d" % (j + 1) for j in range(traj.n)]
+            row = ",".join(["%.17g"] * len(cols)) + "\n"
             with open(ppath, "w") as fh:
                 fh.write(",".join(cols) + "\n")
                 lnx = np.log(traj.xs[mask])
-                for k in range(mask.sum()):
-                    row = [lnmu[k]] + list(lnx[k])
-                    fh.write(",".join("%.17g" % v for v in row) + "\n")
+                fh.writelines(row % r for r in zip(lnmu.tolist(), *lnx.T.tolist()))
             paths.append(ppath)
     return paths

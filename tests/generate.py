@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import DilationMap, Monomial, PolyMap
+from mustab.fields import DilationMap, Monomial, PolyMap
 
 
 def random_dilation(rng, n, lo=0.5, hi=3.0) -> DilationMap:

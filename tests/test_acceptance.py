@@ -29,11 +29,6 @@ from mustab.fields import (
     eval_field,
     homogeneity_degree,
 )
-from mustab.generate import (
-    random_dilation,
-    random_homogeneous_cooperative,
-    random_homogeneous_nondecreasing,
-)
 from mustab.pipeline import parse_system, run_pipeline
 from mustab.rates import (
     BoundedDelay,
@@ -52,6 +47,12 @@ from mustab.transform import (
     verify_lemma1,
     verify_lemma2,
     verify_lemma3,
+)
+
+from generate import (
+    random_dilation,
+    random_homogeneous_cooperative,
+    random_homogeneous_nondecreasing,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))

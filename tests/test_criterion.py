@@ -17,7 +17,6 @@ from mustab.criterion import (
     search_xi,
 )
 from mustab.fields import DilationMap, PolyMap, homogeneity_degree
-from mustab.generate import random_stable_linear_metzler
 from mustab.rates import (
     BoundedDelay,
     ExponentialMu,
@@ -32,6 +31,8 @@ from mustab.rates import (
     TabulatedMu,
 )
 from mustab.transform import transform_field
+
+from generate import random_stable_linear_metzler
 
 
 def paper_transformed():

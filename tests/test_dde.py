@@ -16,7 +16,9 @@ from mustab.dde import (
 from mustab.fields import DilationMap, PolyMap
 from mustab.rates import (
     BoundedDelay,
+    LogFractionDelay,
     LogMu,
+    PowerLagDelay,
     PowerMu,
     ProportionalDelay,
     RateError,
@@ -158,9 +160,10 @@ class TestRosenbrock:
         assert x[1] < np.exp(-1.0) and x[-1] <= 1e-290
 
     def test_rejected_trial_steps_do_not_flag_extrapolation(self):
-        # tau = 5e-4 is below the policy's step of 1e-3, so every first trial
-        # reads x(d) past the last node; x' = -1e4 x rejects each of them,
-        # and the accepted steps read behind the last node
+        # tau = 5e-4 is below the policy's step of 1e-3, so each trial of
+        # the policy's step (the first, and those between the steps carried
+        # at the stable scale) reads x(d) past the last node; x' = -1e4 x
+        # rejects each of them, and the accepted steps read behind the last node
         traj = simulate(scalar(-1e4, 1.0), scalar(1.0, 1.0), BoundedDelay(5e-4),
                         HistorySpec(np.ones(1)), SimConfig(t_start=0.0, t_end=0.05))
         assert np.all(np.diff(traj.ts) < 5e-4)
@@ -172,6 +175,36 @@ class TestRosenbrock:
         monkeypatch.setattr(dde, "_EST_REJECT", 1e-12)
         with pytest.raises(SimulationError, match="accurate"):
             fixed_step_end(scalar(-1.0, 3.0), zero_map(1), BoundedDelay(1.0), 4.0, 0.1)
+
+    def test_stable_scale_is_carried_past_rejected_trials(self, monkeypatch):
+        # x' = -1e4 x to t = 1: the policy's step of 1e-3 overshoots below
+        # zero at every step, and each accepted step is twice the stable
+        # scale, 2e-4.  Carrying that scale skips the rejected trial of all
+        # but the policy trials after 1, 2, 4, ... carried steps
+        f = scalar(-1e4, 1.0)
+        calls = []
+
+        def counting(F):
+            return (lambda x: calls.append(1) or F(x)) if F is f else F
+        monkeypatch.setattr(dde, "fast_evaluator", counting)
+        traj = simulate(f, zero_map(1), BoundedDelay(1.0), HistorySpec(np.ones(1)),
+                        SimConfig(t_start=0.0, t_end=1.0))
+        steps = len(traj.ts) - 1
+        assert steps == 5000
+        # two stage evaluations per trial, and one more per accepted state
+        # below the Jacobian's floor
+        trials = (len(calls) - np.sum(traj.xs[1:, 0] < dde._J_FLOOR)) / 2
+        assert trials - steps <= np.log2(steps) + 1
+
+    def test_one_cut_step_does_not_hold_back_the_policy(self):
+        # from a large state, the stiff first step is cut to the stable
+        # scale once; the policy's steps (463 from 1 to 100 at rho = 1e-2)
+        # serve the rest of the run
+        f, g = paper_system()
+        traj = simulate(f, g, BoundedDelay(1.0), HistorySpec(np.array([10.0, 40.0])),
+                        SimConfig(t_start=1.0, t_end=100.0, rho=1e-2))
+        assert traj.ts[1] - traj.ts[0] < 0.25e-2
+        assert len(traj.ts) - 1 <= 470
 
     def test_extinction_in_finite_time_is_an_error(self):
         # x' = -sqrt(x) reaches 0 at t = 2, past which every step would
@@ -195,6 +228,67 @@ class TestRosenbrock:
         cfg = SimConfig(t_start=0.0, t_end=5.0)
         with pytest.raises(RateError, match="valid on"):
             simulate(scalar_decay(), zero_map(1), d, HistorySpec(np.ones(1)), cfg)
+
+
+def paper_system():
+    # the section-5 system: at most two terms in a component of f, one in g
+    f = PolyMap(2, [[(-5.0, (3.0, 0.0)), (2.0, (1.0, 1.0))],
+                    [(1.0, (2.0, 1.0)), (-4.0, (0.0, 2.0))]])
+    g = PolyMap(2, [[(1.0, (1.0, 1.0))], [(2.0, (4.0, 0.0))]])
+    return f, g
+
+
+class TestLookupBlock:
+    """Lookups behind the last node are served in blocks; with the block
+    size at 0 every lookup takes the per-step path."""
+
+    CASES = {
+        "bounded": (BoundedDelay(1.0), [1.0, 4.0], 1.0),
+        "proportional": (ProportionalDelay(0.5), [1.0, 4.0], 1.0),
+        "powerlag": (PowerLagDelay(0.6), [1.0, 4.0], 1.0),
+        "logfraction": (LogFractionDelay(), [1.0, 4.0], np.e),
+        "table": (TabulatedDelay([0.0, 10.0, 100.0, 1e3, 1e4],
+                                 [0.5, 2.0, 20.0, 200.0, 2e3]), [1.0, 4.0], 1.0),
+        # one rejected step early on, blocks after it
+        "rejected": (BoundedDelay(1.0), [10.0, 40.0], 1.0),
+    }
+
+    def run(self, monkeypatch, case, block):
+        delay, phi0, t_start = self.CASES[case]
+        f, g = paper_system()
+        batches = []
+
+        def counting(F):
+            if F is not g:
+                return F
+            return lambda x: batches.append(len(x) if x.ndim == 2 else 1) or F(x)
+        monkeypatch.setattr(dde, "fast_evaluator", counting)
+        monkeypatch.setattr(dde, "_BLOCK", block)
+        traj = simulate(f, g, delay, HistorySpec(np.array(phi0)),
+                        SimConfig(t_start=t_start, t_end=1e3, rho=1e-2))
+        return traj, batches
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_blocks_match_the_per_step_path(self, monkeypatch, case):
+        size = dde._BLOCK
+        per_step, batches = self.run(monkeypatch, case, 0)
+        assert max(batches) == 1
+        blocked, batches = self.run(monkeypatch, case, size)
+        assert max(batches) > 1
+        if case == "rejected":
+            # the first step is cut below the policy's 1e-2
+            assert per_step.ts[1] - per_step.ts[0] < 1e-2
+        assert np.array_equal(blocked.ts, per_step.ts)
+        assert blocked.extrapolation_flagged == per_step.extrapolation_flagged
+        if case == "powerlag":
+            # t ** alpha on an array may round d one ulp off the scalar's,
+            # and the runs drift apart by a few ulps
+            np.testing.assert_allclose(blocked.xs, per_step.xs, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(blocked.fs, per_step.fs, rtol=0.0,
+                                       atol=1e-13 * np.abs(per_step.fs).max())
+        else:
+            assert np.array_equal(blocked.xs, per_step.xs)
+            assert np.array_equal(blocked.fs, per_step.fs)
 
 
 class TestErrorPaths:

@@ -158,6 +158,15 @@ class TestEmitOutputs:
         assert set(rep["simulation"]) >= {"final_state", "v_growth_ratio", "slopes"}
         head = open(os.path.join(str(tmp_path), "rateplot.csv")).readline().strip()
         assert head == "lnmu_t,ln_x1,ln_x2"
+        # every value at full precision, as one "%.17g" per value formats it
+        lnmu = np.log(mu.value(traj.ts))
+        for name, cols in (
+            ("trajectory.csv", [traj.ts, *traj.xs.T, report.monitor.V]),
+            ("rateplot.csv", [lnmu, *np.log(traj.xs).T]),
+        ):
+            with open(os.path.join(str(tmp_path), name)) as fh:
+                rows = fh.read().splitlines()[1:]
+            assert rows == [",".join("%.17g" % v for v in row) for row in zip(*cols)]
 
 
 def scalar_doc(g_terms, t_start):

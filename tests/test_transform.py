@@ -2,11 +2,6 @@ import numpy as np
 import pytest
 
 from mustab.fields import CERTIFIED, DilationMap, FieldError, PolyMap, Verdict, eval_field
-from mustab.generate import (
-    random_dilation,
-    random_homogeneous_cooperative,
-    random_homogeneous_nondecreasing,
-)
 from mustab.fields import check_omega_condition
 from mustab.transform import (
     build_transformed_system,
@@ -16,6 +11,12 @@ from mustab.transform import (
     verify_lemma2,
     verify_lemma3,
     z_to_state,
+)
+
+from generate import (
+    random_dilation,
+    random_homogeneous_cooperative,
+    random_homogeneous_nondecreasing,
 )
 
 
