@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -58,6 +59,15 @@ def _require(cond, path, msg):
         raise DocumentError("%s: %s" % (path, msg))
 
 
+def _finite(v):
+    """A JSON number that is a finite float: json reads 1e400 as inf and
+    NaN as nan, and an integer too large for a float would overflow."""
+    try:
+        return isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _parse_polymap(obj, n, path):
     _require(isinstance(obj, list) and len(obj) == n, path,
              "expected a list of %d component term lists" % n)
@@ -71,10 +81,10 @@ def _parse_polymap(obj, n, path):
                      tpath, 'expected {"c": coeff, "e": [exponents]}')
             _require(isinstance(term["e"], list) and len(term["e"]) == n,
                      tpath + ".e", "expected %d exponents" % n)
-            _require(all(isinstance(v, (int, float)) and v >= 0 for v in term["e"]),
-                     tpath + ".e", "exponents must be nonnegative numbers")
-            _require(isinstance(term["c"], (int, float)) and term["c"] != 0,
-                     tpath + ".c", "coefficient must be a nonzero number")
+            _require(all(_finite(v) and v >= 0 for v in term["e"]),
+                     tpath + ".e", "exponents must be finite nonnegative numbers")
+            _require(_finite(term["c"]) and term["c"] != 0,
+                     tpath + ".c", "coefficient must be a finite nonzero number")
             mons.append((term["c"], term["e"]))
         comps.append(mons)
     return PolyMap(n, comps)
@@ -131,8 +141,8 @@ def parse_system(text: str) -> SystemDocument:
     g = _parse_polymap(obj.get("g"), n, "g")
     _require(isinstance(obj.get("r"), list) and len(obj["r"]) == n, "r",
              "expected %d dilation weights" % n)
-    _require(all(isinstance(v, (int, float)) and v > 0 for v in obj["r"]), "r",
-             "weights must be positive numbers")
+    _require(all(_finite(v) and v > 0 for v in obj["r"]), "r",
+             "weights must be finite positive numbers")
     r = DilationMap(tuple(obj["r"]))
     _require(isinstance(obj.get("delay"), dict), "delay", "expected an object")
     _require(isinstance(obj.get("mu"), dict), "mu", "expected an object")
@@ -148,24 +158,23 @@ def parse_system(text: str) -> SystemDocument:
     _require(isinstance(hist, dict) and isinstance(hist.get("phi0"), list)
              and len(hist["phi0"]) == n, "history.phi0",
              "expected %d nonnegative values" % n)
-    _require(all(isinstance(v, (int, float)) and v >= 0 for v in hist["phi0"]),
-             "history.phi0", "values must be nonnegative")
+    _require(all(_finite(v) and v >= 0 for v in hist["phi0"]),
+             "history.phi0", "values must be finite and nonnegative")
     xi = obj.get("xi", [1.0] * n)
     _require(isinstance(xi, list) and len(xi) == n
-             and all(isinstance(v, (int, float)) and v > 0 for v in xi),
-             "xi", "expected %d positive values" % n)
+             and all(_finite(v) and v > 0 for v in xi),
+             "xi", "expected %d finite positive values" % n)
     r_star = obj.get("r_star", max(obj["r"]))
-    _require(isinstance(r_star, (int, float)) and r_star > 0, "r_star",
-             "expected a positive number")
+    _require(_finite(r_star) and r_star > 0, "r_star",
+             "expected a finite positive number")
     sim = obj.get("sim", {})
     if sim:
         _require(isinstance(sim, dict), "sim", "expected an object")
-        _require(isinstance(sim.get("t_end"), (int, float)), "sim.t_end",
-                 "expected a number")
+        _require(_finite(sim.get("t_end")), "sim.t_end", "expected a finite number")
         for key in ("t_start", "rho", "h_min"):
             if key in sim:
-                _require(isinstance(sim[key], (int, float)) and sim[key] > 0,
-                         "sim.%s" % key, "expected a positive number")
+                _require(_finite(sim[key]) and sim[key] > 0,
+                         "sim.%s" % key, "expected a finite positive number")
     return SystemDocument(
         n=n, f=f, g=g, r=r,
         delay_spec=obj["delay"], mu_spec=obj["mu"],

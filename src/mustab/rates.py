@@ -2,7 +2,8 @@
 
 Parametric families carry closed-form values, derivatives and a stable
 log-value (needed when limits are probed at astronomically large t);
-tabulated variants interpolate with a monotone piecewise cubic.
+tabulated variants interpolate with a monotone piecewise cubic (PCHIP),
+built here in numpy, so the package needs nothing beyond numpy at run time.
 """
 
 from __future__ import annotations
@@ -14,13 +15,68 @@ class RateError(ValueError):
     pass
 
 
-def _pchip(times, values):
-    """The monotone piecewise cubic through (times, values).  scipy is
-    imported here, not with the module: only tables need it, and loading
-    it costs most of the package's import time."""
-    from scipy.interpolate import PchipInterpolator
+def _edge_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end knot, kept shape-preserving
+    (scipy's ``PchipInterpolator._edge_case``)."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
-    return PchipInterpolator(times, values)
+
+def _pchip(x, y):
+    """Power-basis coefficients (c0, c1, c2, c3) of the monotone piecewise
+    cubic through (x, y), x strictly increasing with at least three knots
+    (Fritsch & Carlson 1980); interval k is a polynomial in s = t - x[k].
+    Interior slopes are Fritsch & Butland's weighted harmonic mean of the
+    neighbouring secants, zero where those change sign or one is zero; the
+    end slopes use the three-point rule.  This is scipy's
+    ``PchipInterpolator`` in its ``PPoly`` form."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    a, b = m[:-1], m[1:]
+    ok = (np.sign(a) == np.sign(b)) & (a != 0)
+    w1 = (2.0 * h[1:] + h[:-1])[ok]
+    w2 = (h[1:] + 2.0 * h[:-1])[ok]
+    d = np.zeros_like(y)
+    d[1:-1][ok] = 1.0 / ((w1 / a[ok] + w2 / b[ok]) / (w1 + w2))
+    d[0] = _edge_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
+    c3 = (d[:-1] + d[1:] - 2.0 * m) / h
+    return y[:-1], d[:-1], (m - d[:-1]) / h - c3, c3 / h
+
+
+class _Cubic:
+    """The piecewise cubic on knots x with coefficients (c0, c1, c2, c3)
+    in s = t - x[k] on interval k; the end intervals extend past x."""
+
+    def __init__(self, x, coeffs):
+        self._x = x
+        # searching only the interior knots keeps the interval index in range
+        self._inner = x[1:-1]
+        self._c = coeffs
+
+    def __call__(self, t):
+        k = self._inner.searchsorted(t, side="right")
+        s = t - self._x[k]
+        c0, c1, c2, c3 = self._c
+        # Horner in place on the gathered copy c3[k]: a block of delayed
+        # lookups allocates one result array, not one per operation
+        v = c3[k] * s
+        v += c2[k]
+        v *= s
+        v += c1[k]
+        v *= s
+        v += c0[k]
+        return v
+
+    def derivative(self, t):
+        k = self._inner.searchsorted(t, side="right")
+        s = t - self._x[k]
+        _, c1, c2, c3 = self._c
+        return c1[k] + s * (2.0 * c2[k] + s * (3.0 * c3[k]))
 
 
 class MuFunction:
@@ -55,8 +111,8 @@ class ExponentialMu(MuFunction):
 
     def __init__(self, eps):
         self.eps = float(eps)
-        if self.eps <= 0:
-            raise RateError("exp rate requires eps > 0")
+        if not 0.0 < self.eps < np.inf:
+            raise RateError("exp rate requires a finite eps > 0")
 
     def value(self, t):
         self._check_t(t)
@@ -78,8 +134,8 @@ class PowerMu(MuFunction):
 
     def __init__(self, beta):
         self.beta = float(beta)
-        if self.beta <= 0:
-            raise RateError("power rate requires beta > 0")
+        if not 0.0 < self.beta < np.inf:
+            raise RateError("power rate requires a finite beta > 0")
 
     def value(self, t):
         self._check_t(t)
@@ -137,6 +193,8 @@ class TabulatedMu(MuFunction):
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or len(times) < 4:
             raise RateError("tabulated mu needs >= 4 (t, mu) samples")
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise RateError("tabulated mu samples must be finite")
         if np.any(np.diff(times) <= 0):
             raise RateError("tabulated mu times must be strictly increasing")
         if np.any(values <= 0) or np.any(np.diff(values) < 0):
@@ -146,8 +204,7 @@ class TabulatedMu(MuFunction):
         decade = times >= times[-1] / 10.0
         if decade.sum() >= 2 and values[decade][-1] <= values[decade][0]:
             raise RateError("tabulated mu is flat over its last decade")
-        self._interp = _pchip(times, values)
-        self._deriv = self._interp.derivative()
+        self._interp = _Cubic(times, _pchip(times, values))
         self.t_min = times[0]
         self.t_max = times[-1]
         self._times = times
@@ -164,7 +221,7 @@ class TabulatedMu(MuFunction):
 
     def derivative(self, t):
         self._check_t(t)
-        return self._deriv(np.clip(t, self.t_min, self.t_max))
+        return self._interp.derivative(np.clip(t, self.t_min, self.t_max))
 
     def params(self):
         return {"t": self._times.tolist(), "mu": self._values.tolist()}
@@ -210,8 +267,8 @@ class BoundedDelay(DelayFunction):
 
     def __init__(self, tau_max):
         self.tau_max = float(tau_max)
-        if self.tau_max < 0:
-            raise RateError("bounded delay requires tau_max >= 0")
+        if not 0.0 <= self.tau_max < np.inf:
+            raise RateError("bounded delay requires a finite tau_max >= 0")
 
     def d(self, t):
         return t - self.tau_max
@@ -271,22 +328,25 @@ class TabulatedDelay(DelayFunction):
         taus = np.asarray(taus, dtype=float)
         if times.ndim != 1 or times.shape != taus.shape or len(times) < 4:
             raise RateError("tabulated delay needs >= 4 (t, tau) samples")
+        if not (np.isfinite(times).all() and np.isfinite(taus).all()):
+            raise RateError("tabulated delay samples must be finite")
         if np.any(np.diff(times) <= 0):
             raise RateError("tabulated delay times must be strictly increasing")
         if np.any(taus < 0):
             raise RateError("tabulated delay must be nonnegative")
-        self._interp = _pchip(times, taus)
+        # d(t) = t - tau(t) is itself a cubic on each interval: t = x[k] + s
+        c0, c1, c2, c3 = _pchip(times, taus)
+        self._d = _Cubic(times, (times[:-1] - c0, 1.0 - c1, -c2, -c3))
         self.t_min = times[0]
         self.t_max = times[-1]
         self._times = times
         self._taus = taus
         # d(t) should be nondecreasing; sampled check, reported not enforced
         grid = np.linspace(self.t_min, self.t_max, 512)
-        d = grid - self._interp(grid)
-        self.delayed_time_monotone = bool(np.all(np.diff(d) >= -1e-9))
+        self.delayed_time_monotone = bool(np.all(np.diff(self._d(grid)) >= -1e-9))
 
     def d(self, t):
-        return t - self._interp(t)
+        return self._d(t)
 
     def params(self):
         return {"t": self._times.tolist(), "tau": self._taus.tolist()}

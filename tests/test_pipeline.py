@@ -316,6 +316,57 @@ class TestCli:
             sim={"t_start": 2.0, "t_end": 2.005})
         assert "fewer than 10 usable nodes" in err
 
+    def run_rejected_document(self, tmp_path, capsys, text, stages="all"):
+        doc_path = tmp_path / "sys.json"
+        doc_path.write_text(text)
+        code, _ = self.run_cli(tmp_path, *stages.split(), "--input", str(doc_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("key, table", [
+        ("delay", {"family": "table", "t": [3, 10, "@nan", 1000, 1e4],
+                   "tau": [0, 5, 50, 500, 5000]}),
+        ("delay", {"family": "table", "t": [3, 10, 100, 1000, 1e4],
+                   "tau": [0, 5, "@inf", 500, 5000]}),
+        ("mu", {"family": "table", "t": [1, 10, 100, 1000, 1e4],
+                "mu": [1, 2, "@nan", 4, 5]}),
+        ("mu", {"family": "table", "t": [1, 10, 100, 1000, "@inf"],
+                "mu": [1, 2, 3, 4, 5]}),
+    ], ids=["nan-time", "inf-tau", "nan-mu", "inf-last-time"])
+    def test_nonfinite_table_exits_two(self, tmp_path, capsys, key, table):
+        # json reads NaN as nan and 1e400 as inf
+        text = small_doc(**{key: table}).replace('"@nan"', "NaN").replace('"@inf"', "1e400")
+        err = self.run_rejected_document(tmp_path, capsys, text)
+        assert err.startswith("error: %s: " % key)
+
+    @pytest.mark.parametrize("stages, field, edit", [
+        ("check transform criterion", "delay",
+         lambda o: o.update(delay={"family": "bounded", "tau_max": "@inf"})),
+        ("all", "delay", lambda o: o.update(delay={"family": "bounded", "tau_max": "@nan"})),
+        ("all", "r_star", lambda o: o.update(r_star="@inf")),
+        ("all", "r_star", lambda o: o.update(r_star="@huge")),
+        ("all", "mu", lambda o: o.update(mu={"family": "power", "beta": "@nan"})),
+        ("all", "mu", lambda o: o.update(mu={"family": "exp", "eps": "@inf"})),
+        ("all", "f[0][0].c", lambda o: o["f"][0][0].update(c="@nan")),
+        ("all", "f[0][0].e", lambda o: o["f"][0][0].update(e=["@inf", 0])),
+        ("all", "r", lambda o: o.update(r=[1.0, "@inf"])),
+        ("all", "xi", lambda o: o.update(xi=["@inf", 1.0])),
+        ("all", "history.phi0", lambda o: o.update(history={"phi0": ["@inf", 4.0]})),
+        ("all", "sim.t_end", lambda o: o["sim"].update(t_end="@inf")),
+        ("all", "sim.rho", lambda o: o["sim"].update(rho="@nan")),
+    ], ids=["inf-tau_max", "nan-tau_max", "inf-r_star", "huge-int-r_star", "nan-beta",
+            "inf-eps", "nan-coefficient", "inf-exponent", "inf-weight", "inf-xi",
+            "inf-phi0", "inf-t_end", "nan-rho"])
+    def test_nonfinite_number_names_its_field(self, tmp_path, capsys, stages, field, edit):
+        obj = json.loads(small_doc())
+        edit(obj)
+        text = (json.dumps(obj).replace('"@nan"', "NaN").replace('"@inf"', "1e400")
+                .replace('"@huge"', "1" + "0" * 400))
+        err = self.run_rejected_document(tmp_path, capsys, text, stages)
+        assert err.startswith("error: %s: " % field)
+
     def test_comma_separated_stages(self, tmp_path):
         doc_path = tmp_path / "sys.json"
         doc_path.write_text(small_doc())
@@ -324,9 +375,15 @@ class TestCli:
 
 
 class TestImportFootprint:
+    def loaded_scipy_modules(self, script):
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+        return out.stdout.strip()
+
     def test_closed_form_document_never_loads_scipy(self):
-        # only the tabulated families need scipy; the reference document
-        # has none, so a fresh interpreter must get through it without
+        # the reference document must get through a fresh interpreter
+        # without loading scipy
         script = (
             "import sys\n"
             "import mustab\n"
@@ -335,7 +392,22 @@ class TestImportFootprint:
             "mustab.run_pipeline(doc, ['check', 'transform', 'criterion'])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         ) % PAPER_DOC
-        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                             text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
-        assert out.stdout.strip() == "[]"
+        assert self.loaded_scipy_modules(script) == "[]"
+
+    def test_tabulated_document_never_loads_scipy(self, tmp_path):
+        # the tabulated gauge and delay are numpy only, through every stage
+        t = [3.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6]
+        text = small_doc(mu={"family": "table", "t": t, "mu": np.log1p(t).tolist()},
+                         delay={"family": "table", "t": t, "tau": [0.5 * v for v in t]},
+                         sim={"t_start": 3.0, "t_end": 50.0})
+        script = (
+            "import sys\n"
+            "import mustab\n"
+            "doc = mustab.parse_system(%r)\n"
+            "stages = ['check', 'transform', 'criterion', 'simulate', 'fit']\n"
+            "report, traj, _ = mustab.run_pipeline(doc, stages)\n"
+            "assert sorted(report.stage_pass) == sorted(stages)\n"
+            "mustab.emit_outputs(report, traj, %r, mu=mustab.make_mu(doc.mu_spec))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        ) % (text, str(tmp_path / "out"))
+        assert self.loaded_scipy_modules(script) == "[]"

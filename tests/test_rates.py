@@ -13,6 +13,8 @@ from mustab.rates import (
     RateError,
     TabulatedDelay,
     TabulatedMu,
+    _Cubic,
+    _pchip,
     make_delay,
     make_mu,
 )
@@ -47,6 +49,11 @@ class TestMuFamilies:
             ExponentialMu(0.0)
         with pytest.raises(RateError):
             PowerMu(-1.0)
+        for bad in (np.nan, np.inf):
+            for family in (ExponentialMu, PowerMu, BoundedDelay, ProportionalDelay,
+                           PowerLagDelay):
+                with pytest.raises(RateError):
+                    family(bad)
 
     def test_negative_time_rejected(self):
         with pytest.raises(RateError):
@@ -70,6 +77,12 @@ class TestTabulatedMu:
             TabulatedMu([1, 2, 3, 4], [1, 2, 1.5, 3])  # not monotone
         with pytest.raises(RateError):
             TabulatedMu([1, 2, 30, 40], [1, 2, 3, 3])  # flat tail
+
+    def test_rejects_nonfinite_samples(self):
+        for t, v in (([1, 2, np.nan, 8], [1, 2, 3, 4]), ([1, 2, 4, np.inf], [1, 2, 3, 4]),
+                     ([1, 2, 4, 8], [1, 2, np.nan, 4]), ([1, 2, 4, 8], [1, 2, 3, np.inf])):
+            with pytest.raises(RateError, match="finite"):
+                TabulatedMu(t, v)
 
     def test_domain_enforced(self):
         mu = TabulatedMu([1, 2, 4, 8], [1, 2, 3, 4])
@@ -134,6 +147,73 @@ class TestTabulatedDelay:
     def test_negative_tau_rejected(self):
         with pytest.raises(RateError):
             TabulatedDelay([0, 1, 2, 3], [0, -0.1, 0, 0])
+
+    def test_rejects_nonfinite_samples(self):
+        # NaN passes the "strictly increasing" test: every comparison is false
+        for t, tau in (([3, 10, np.nan, 1e3], [0, 1, 2, 3]), ([3, 10, 100, np.inf], [0, 1, 2, 3]),
+                       ([3, 10, 100, 1e3], [0, np.nan, 2, 3]), ([3, 10, 100, 1e3], [0, 1, 2, np.inf])):
+            with pytest.raises(RateError, match="finite"):
+                TabulatedDelay(t, tau)
+
+
+class TestPchipAgainstScipy:
+    """The numpy PCHIP against scipy's PchipInterpolator, its reference."""
+
+    @staticmethod
+    def random_tables(rng, count):
+        for i in range(count):
+            n = int(rng.integers(4, 41))
+            # uneven spacing: gaps drawn over four decades
+            x = np.cumsum(rng.exponential(1.0, n) * 10.0 ** rng.integers(-2, 3, n))
+            x -= rng.uniform(0.0, 5.0)
+            kind = i % 4
+            if kind == 0:  # strictly increasing
+                y = np.cumsum(rng.exponential(1.0, n))
+            elif kind == 1:  # nondecreasing with flat runs
+                y = np.cumsum(rng.exponential(1.0, n) * (rng.random(n) < 0.5))
+            elif kind == 2:  # sign changes of the secants
+                y = rng.normal(size=n)
+            else:  # flat runs and sign changes together
+                y = rng.integers(-2, 3, n).astype(float)
+            yield x, y
+
+    def test_values_and_derivatives_match_scipy(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(1980)
+        for x, y in self.random_tables(rng, 1000):
+            ref = interpolate.PchipInterpolator(x, y)
+            ours = _Cubic(x, _pchip(x, y))
+            h = np.diff(x)
+            inside = (x[:-1, None] + h[:, None] * rng.random((len(h), 4))).ravel()
+            # the end intervals extend past the table
+            past = np.array([x[0] - 0.25 * h[0], x[-1] + 0.25 * h[-1]])
+            # relative to the table's scale, so that zero crossings compare too
+            y_scale = np.abs(y).max()
+            m_scale = np.abs(np.diff(y) / h).max()
+            for t in (x, inside, past):
+                np.testing.assert_allclose(ours(t), ref(t), rtol=1e-14, atol=1e-14 * y_scale)
+                np.testing.assert_allclose(ours.derivative(t), ref(t, 1),
+                                           rtol=1e-14, atol=1e-14 * m_scale)
+
+    def test_delayed_time_matches_scipy(self):
+        # TabulatedDelay evaluates d(t) = t - tau(t) as one cubic per interval
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            t = np.cumsum(rng.exponential(1.0, 12) * 10.0 ** rng.integers(-1, 3, 12))
+            tau = rng.uniform(0.0, 1.0, 12) * t
+            delay = TabulatedDelay(t, tau)
+            h = np.diff(t)
+            grid = np.concatenate([t, (t[:-1, None] + h[:, None] * rng.random((11, 4))).ravel()])
+            np.testing.assert_allclose(delay.d(grid), grid - interpolate.PchipInterpolator(t, tau)(grid),
+                                       rtol=1e-14, atol=1e-14 * t[-1])
+
+    def test_scalar_matches_block(self):
+        x = np.array([3.0, 10.0, 100.0, 1e3, 1e4])
+        p = _Cubic(x, _pchip(x, np.sqrt(x)))
+        t = np.array([3.0, 7.5, 10.0, 512.0, 1e4])
+        assert [p(v) for v in t] == p(t).tolist()
+        assert [p.derivative(v) for v in t] == p.derivative(t).tolist()
 
 
 class TestFactories:
