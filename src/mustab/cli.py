@@ -23,7 +23,7 @@ from .pipeline import (
     parse_system,
     run_pipeline,
 )
-from .rates import RateError, make_mu
+from .rates import RateError
 
 
 def _parse_stages(tokens):
@@ -59,8 +59,8 @@ def main(argv=None):
             text = fh.read()
         doc = parse_system(text)
         report, traj, code = run_pipeline(doc, stages, seed=args.seed)
-        mu = make_mu(doc.mu_spec) if traj is not None else None
-        paths = emit_outputs(report, traj, args.out, mu=mu)
+        paths = emit_outputs(report, traj, args.out,
+                             mu=doc.mu if traj is not None else None)
     except (OSError, DocumentError, RateError, SimulationError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -11,12 +11,14 @@ stages sit at t and t + h, so a step needs one new delayed lookup.  The
 step is the policy's.  A step is rejected and halved, never clamped, when
 its state leaves the orthant, when its estimate is of order one, or when a
 growing mode of the Jacobian takes it to the scheme's pole; below h_min
-that is a SimulationError.  With no growing mode, a rejected step is the
-scheme overshooting a stable mode, not a blow-up, and it may shrink below
-h_min down to the stable scale of the Jacobian.  The steps after such a
-cut start at that scale, and the policy's step is tried again after 1, 2,
-4, ... of them, so a decayed stiff component does not cost a rejected
-trial per step.  Dense output is cubic Hermite on stored (state,
+that is a SimulationError.  Whether a mode grows is decided by
+Gershgorin's bound, then by an M-matrix certificate (one linear solve),
+and only when both fail by the eigenvalues.  With no growing mode, a
+rejected step is the scheme overshooting a stable mode, not a blow-up,
+and it may shrink below h_min down to the stable scale of the Jacobian.
+The steps after such a cut start at that scale, and the policy's step is
+tried again after 1, 2, 4, ... of them, so a decayed stiff component does
+not cost a rejected trial per step.  Dense output is cubic Hermite on stored (state,
 right-hand side) node pairs, kept in arrays that double when full, which
 is also how delayed state lookups are served.  Without a rejection the
 policy's steps do not depend on the state, so they are planned ahead; the
@@ -146,19 +148,36 @@ class Trajectory:
 
 
 def _growth(J):
-    """A bound on the growth rate of J's modes: the spectral abscissa when
-    Gershgorin's bound on it, the largest J_ii + sum_{j != i} |J_ij|, is
-    positive (a mode may grow), else that bound."""
-    bound = (np.abs(J).sum(axis=1) + 2.0 * np.minimum(J.diagonal(), 0.0)).max()
+    """The growth rate of J's modes: a bound on the spectral abscissa s(J)
+    when the bound is at most 0 (no mode grows), else s(J) itself.  M is J
+    with its off-diagonal entries made absolute, so M is Metzler and
+    s(J) <= s(M).  First Gershgorin's bound, the largest row sum of M; when
+    it is positive, an M-matrix certificate: s(M) <= max_i (M v)_i / v_i
+    for any v > 0 (Collatz-Wielandt), and the solution of M v = -1 is
+    positive exactly when M is Hurwitz (Berman & Plemmons 1994, ch. 6).
+    For a cooperative f, M = J.  Only when both fail are eigenvalues taken."""
+    M = np.abs(J)
+    diag = J.diagonal()
+    bound = np.maximum.reduce(np.add.reduce(M, axis=1) + 2.0 * np.minimum(diag, 0.0))
     if bound <= 0.0:
         return bound
+    M.flat[::len(M) + 1] = diag
+    try:
+        v = np.linalg.solve(M, np.full(len(M), -1.0))
+    except np.linalg.LinAlgError:  # M is singular
+        v = None
+    if v is not None and np.minimum.reduce(v) > 0.0 and np.maximum.reduce(v) < np.inf:
+        # evaluated, not taken from the solve: a rounded v still bounds s(M)
+        cw = np.maximum.reduce((M @ v) / v)
+        if cw < 0.0:
+            return cw
     return np.linalg.eigvals(J).real.max()
 
 
 def _stable_scale(J, grow):
     """_STABLE_Z over Gershgorin's bound on the spectral radius of J, the
     largest sum_j |J_ij|; infinite when a mode may grow."""
-    stiff = np.abs(J).sum(axis=1).max()
+    stiff = np.maximum.reduce(np.add.reduce(np.abs(J), axis=1))
     return _STABLE_Z / stiff if grow <= 0.0 and stiff > 0.0 else np.inf
 
 
@@ -169,11 +188,12 @@ def _forcing_slope(G_prev, G0, G1, h_prev, h):
     return ((G1 - G0) * (h_prev / h) + (G0 - G_prev) * (h / h_prev)) / (h + h_prev)
 
 
-def _field_jacobian(f, f_eval, x):
-    """f(x) and the Jacobian of f at max(x, _J_FLOOR): one power table
-    serves both unless a component is below _J_FLOOR.  The term table is
-    read from f itself, since f_eval may be a wrapper of it."""
-    if x.min() >= _J_FLOOR:
+def _field_jacobian(f, f_eval, x, x_min):
+    """f(x) and the Jacobian of f at max(x, _J_FLOOR), given x's smallest
+    component: one power table serves both unless a component is below
+    _J_FLOOR.  The term table is read from f itself, since f_eval may be a
+    wrapper of it."""
+    if x_min >= _J_FLOOR:
         return field_and_jacobian(f, x)
     return f_eval(x), jacobian(f, np.maximum(x, _J_FLOOR))
 
@@ -240,7 +260,8 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
         return steps, d_of(np.array(ends))
 
     G0, hist0, flagged = delayed_forcing(t)
-    F0, J = _field_jacobian(f, f_eval, x)
+    F0, J = _field_jacobian(f, f_eval, x, np.minimum.reduce(x))
+    x_max = np.maximum.reduce(x)
     F0 += G0
     fs[0] = F0
     eye = np.eye(len(x))
@@ -291,19 +312,25 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                 Winv = np.linalg.inv(eye / (_GAMMA * h) - J)
                 u1 = Winv @ (F0 + (0.5 * h) * Ft)
                 u2 = Winv @ (F0 + (4.0 / h) * u1 + (1.5 * h) * Ft)
+                u12 = u1 - u2
                 y3 = x + 2.0 * u1
-                u3 = Winv @ (f_eval(np.maximum(y3, 0.0)) + G1 + (u1 - u2) / h)
+                u3 = Winv @ (f_eval(np.maximum(y3, 0.0)) + G1 + u12 / h)
                 y4 = y3 + u3
                 u4 = Winv @ (f_eval(np.maximum(y4, 0.0)) + G1
-                             + (u1 - u2 - (8.0 / 3.0) * u3) / h)
+                             + (u12 - (8.0 / 3.0) * u3) / h)
                 x_new = y4 + u4
-                est = np.abs(u4).max() / max(x.max(), np.abs(x_new).max())
-                if x_new.min() >= 0.0 and est <= _EST_REJECT:
-                    x_new = np.maximum(x_new, cfg.x_floor)
-                    F_new, J_new = _field_jacobian(f, f_eval, x_new)
-                    F_new += G1
-                    if np.isfinite(F_new).all():
-                        break
+                lo = np.minimum.reduce(x_new)
+                # the orthant first: past it, x_new is its own absolute
+                # value, and its extremes serve the estimate and the floor
+                if lo >= 0.0:
+                    hi = np.maximum.reduce(x_new)
+                    if np.maximum.reduce(np.abs(u4)) / max(x_max, hi) <= _EST_REJECT:
+                        x_new = np.maximum(x_new, cfg.x_floor)
+                        F_new, J_new = _field_jacobian(f, f_eval, x_new,
+                                                       max(lo, cfg.x_floor))
+                        F_new += G1
+                        if np.logical_and.reduce(np.isfinite(F_new)):
+                            break
             # a rejection leaves the plan
             ph, blocked, i, b0, b1 = [], False, 0, 0, 0
             if h_stable is None:
@@ -324,6 +351,8 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                 )
         t = t + h
         x, F0, J = x_new, F_new, J_new
+        # the largest component of x, kept for the next step's estimate
+        x_max = max(hi, cfg.x_floor)
         flagged = flagged or ahead
         G_prev, G0, h_prev = G0, G1, h
         hist_prev, hist0 = hist0, hist1

@@ -10,6 +10,7 @@ admits exact Jacobians and exact homogeneity certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +47,10 @@ class PolyMap:
     """A vector field with monomial components, stored as one term table.
 
     Term t is ``C[t] * prod_j x_j**E[t, j]`` in component ``k[t]``, and
-    ``K`` is the one-hot term-to-component matrix.  Like terms are merged,
-    zero terms dropped and the rest sorted by (component, exponents), so
-    equal maps have equal tables.
+    ``K`` is the one-hot term-to-component matrix; ``CK`` is ``K`` with row
+    t scaled by ``C[t]``, the matrix that sums the terms' values into the
+    components.  Like terms are merged, zero terms dropped and the rest
+    sorted by (component, exponents), so equal maps have equal tables.
     """
 
     def __init__(self, n, components, allow_negative_exponents=False):
@@ -90,7 +92,17 @@ class PolyMap:
         self.k = np.array([i for (i, _), _ in table], dtype=np.intp)
         self.E = np.array([e for (_, e), _ in table], dtype=float).reshape(len(table), self.n)
         self.C = np.array([c for _, c in table], dtype=float)
-        self.K = (self.k[:, None] == np.arange(self.n)).astype(float)
+        self.CK = self.C[:, None] * (self.k[:, None] == np.arange(self.n))
+
+    @property
+    def K(self):
+        return (self.k[:, None] == np.arange(self.n)).astype(float)
+
+    @cached_property
+    def CKT(self):
+        """CK transposed and contiguous, for the Jacobian's row scaling;
+        made on first use, as most maps are never differentiated."""
+        return np.ascontiguousarray(self.CK.T)
 
     def __call__(self, x):
         """F at a point (n,) or at each row of a batch (m, n); 0**0 is 1.
@@ -98,7 +110,7 @@ class PolyMap:
         The integrator calls this about a million times per long run, so it
         takes multiply.reduce, which is np.prod without its Python wrapper.
         """
-        return (self.C * np.multiply.reduce(x[..., None, :] ** self.E, axis=-1)) @ self.K
+        return np.multiply.reduce(x[..., None, :] ** self.E, axis=-1) @ self.CK
 
     def __eq__(self, other):
         return (
@@ -163,9 +175,9 @@ def field_and_jacobian(F: PolyMap, x):
     """F(x) and its exact Jacobian from one table of x**E, unchecked: x is
     a strictly positive point (n,), such as an integrator's state.  The
     table is laid out as in PolyMap.__call__, so F(x) is bitwise the same."""
-    vals = F.C * np.multiply.reduce(x[None, :] ** F.E, axis=-1)
+    P = np.multiply.reduce(x[None, :] ** F.E, axis=-1)
     # d/dx_j of c*prod x^a = a_j * value / x_j, exact for x_j > 0
-    return vals @ F.K, F.K.T @ (vals[:, None] * F.E / x)
+    return P @ F.CK, (F.CKT * P) @ F.E / x
 
 
 def _sample_points(rng, n, count=N_SAMPLES, lo=SAMPLE_RANGE[0], hi=SAMPLE_RANGE[1]):

@@ -43,7 +43,7 @@ from .fields import (
     check_omega_condition,
     homogeneity_degree,
 )
-from .rates import make_delay, make_mu
+from .rates import DelayFunction, MuFunction, make_delay, make_mu
 from .transform import TransformedSystem, build_transformed_system
 
 STAGES = ("check", "transform", "criterion", "simulate", "fit")
@@ -61,11 +61,19 @@ def _require(cond, path, msg):
 
 def _finite(v):
     """A JSON number that is a finite float: json reads 1e400 as inf and
-    NaN as nan, and an integer too large for a float would overflow."""
+    NaN as nan, an integer too large for a float would overflow, and true
+    and false, which Python takes for the integers 1 and 0, are not numbers."""
     try:
-        return isinstance(v, (int, float)) and math.isfinite(v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:
         return False
+
+
+def _known(obj, keys, path):
+    """Reject a key the schema does not have: a misspelt setting would
+    otherwise be replaced by its default without a word."""
+    for key in obj:
+        _require(key in keys, path, "unknown key %r" % key)
 
 
 def _parse_polymap(obj, n, path):
@@ -79,6 +87,7 @@ def _parse_polymap(obj, n, path):
             tpath = "%s[%d][%d]" % (path, i, k)
             _require(isinstance(term, dict) and "c" in term and "e" in term,
                      tpath, 'expected {"c": coeff, "e": [exponents]}')
+            _known(term, ("c", "e"), tpath)
             _require(isinstance(term["e"], list) and len(term["e"]) == n,
                      tpath + ".e", "expected %d exponents" % n)
             _require(all(_finite(v) and v >= 0 for v in term["e"]),
@@ -98,6 +107,9 @@ class SystemDocument:
     r: DilationMap
     delay_spec: dict
     mu_spec: dict
+    # built from the specs when the document is parsed, and reused
+    delay: DelayFunction
+    mu: MuFunction
     phi0: np.ndarray
     xi: np.ndarray
     r_star: float
@@ -127,15 +139,18 @@ class SystemDocument:
 
 
 def parse_system(text: str) -> SystemDocument:
-    """Parse and validate a system document; applies defaults
-    (xi = ones, r_star = max r_i, simulation step policy)."""
+    """Parse and validate a system document, rejecting keys the schema
+    does not have; applies defaults (xi = ones, r_star = max r_i,
+    simulation step policy) and builds the delay and the gauge."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError("document: invalid JSON (%s)" % e) from None
     _require(isinstance(obj, dict), "document", "top level must be an object")
-    _require(isinstance(obj.get("n"), int) and obj["n"] >= 1, "n",
-             "expected a positive integer")
+    _known(obj, ("n", "f", "g", "r", "delay", "mu", "xi", "r_star", "history", "sim"),
+           "document")
+    _require(isinstance(obj.get("n"), int) and not isinstance(obj["n"], bool)
+             and obj["n"] >= 1, "n", "expected a positive integer")
     n = obj["n"]
     f = _parse_polymap(obj.get("f"), n, "f")
     g = _parse_polymap(obj.get("g"), n, "g")
@@ -147,17 +162,18 @@ def parse_system(text: str) -> SystemDocument:
     _require(isinstance(obj.get("delay"), dict), "delay", "expected an object")
     _require(isinstance(obj.get("mu"), dict), "mu", "expected an object")
     try:
-        make_delay(obj["delay"])
+        delay = make_delay(obj["delay"])
     except Exception as e:
         raise DocumentError("delay: %s" % e) from None
     try:
-        make_mu(obj["mu"])
+        mu = make_mu(obj["mu"])
     except Exception as e:
         raise DocumentError("mu: %s" % e) from None
     hist = obj.get("history")
-    _require(isinstance(hist, dict) and isinstance(hist.get("phi0"), list)
-             and len(hist["phi0"]) == n, "history.phi0",
-             "expected %d nonnegative values" % n)
+    _require(isinstance(hist, dict), "history", "expected an object")
+    _known(hist, ("phi0",), "history")
+    _require(isinstance(hist.get("phi0"), list) and len(hist["phi0"]) == n,
+             "history.phi0", "expected %d nonnegative values" % n)
     _require(all(_finite(v) and v >= 0 for v in hist["phi0"]),
              "history.phi0", "values must be finite and nonnegative")
     xi = obj.get("xi", [1.0] * n)
@@ -170,6 +186,7 @@ def parse_system(text: str) -> SystemDocument:
     sim = obj.get("sim", {})
     if sim:
         _require(isinstance(sim, dict), "sim", "expected an object")
+        _known(sim, ("t_start", "t_end", "rho", "h_min"), "sim")
         _require(_finite(sim.get("t_end")), "sim.t_end", "expected a finite number")
         for key in ("t_start", "rho", "h_min"):
             if key in sim:
@@ -177,7 +194,7 @@ def parse_system(text: str) -> SystemDocument:
                          "sim.%s" % key, "expected a finite positive number")
     return SystemDocument(
         n=n, f=f, g=g, r=r,
-        delay_spec=obj["delay"], mu_spec=obj["mu"],
+        delay_spec=obj["delay"], mu_spec=obj["mu"], delay=delay, mu=mu,
         phi0=np.asarray(hist["phi0"], dtype=float),
         xi=np.asarray(xi, dtype=float),
         r_star=float(r_star),
@@ -238,8 +255,7 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
         "config_hash": _config_hash(doc),
     }
     traj = None
-    delay = make_delay(doc.delay_spec)
-    mu = make_mu(doc.mu_spec)
+    delay, mu = doc.delay, doc.mu
 
     p_f = p_g = None
     hom_ok = False

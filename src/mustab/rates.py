@@ -352,32 +352,49 @@ class TabulatedDelay(DelayFunction):
         return {"t": self._times.tolist(), "tau": self._taus.tolist()}
 
 
+# each family's class and the parameters of its document form, in the
+# order the class takes them
+_MU_FAMILIES = {
+    "exp": (ExponentialMu, ("eps",)),
+    "power": (PowerMu, ("beta",)),
+    "log": (LogMu, ()),
+    "loglog": (LogLogMu, ()),
+    "table": (TabulatedMu, ("t", "mu")),
+}
+_DELAY_FAMILIES = {
+    "bounded": (BoundedDelay, ("tau_max",)),
+    "proportional": (ProportionalDelay, ("q",)),
+    "logfraction": (LogFractionDelay, ()),
+    "powerlag": (PowerLagDelay, ("alpha",)),
+    "table": (TabulatedDelay, ("t", "tau")),
+}
+
+
+def _make(spec, families, kind):
+    fam = spec.get("family")
+    if not isinstance(fam, str) or fam not in families:
+        raise RateError("unknown %s family %r" % (kind, fam))
+    cls, keys = families[fam]
+    for key in spec:
+        if key != "family" and key not in keys:
+            raise RateError("unknown key %r" % key)
+    args = []
+    for key in keys:
+        if key not in spec:
+            raise RateError("missing key %r" % key)
+        v = spec[key]
+        # JSON true and false would pass as the numbers 1 and 0
+        if isinstance(v, bool) or (isinstance(v, list) and any(isinstance(u, bool) for u in v)):
+            raise RateError("%r must be a number, not a boolean" % key)
+        args.append(v)
+    return cls(*args)
+
+
 def make_mu(spec: dict) -> MuFunction:
     """Build a MuFunction from its document form {"family": ..., params}."""
-    fam = spec.get("family")
-    if fam == "exp":
-        return ExponentialMu(spec["eps"])
-    if fam == "power":
-        return PowerMu(spec["beta"])
-    if fam == "log":
-        return LogMu()
-    if fam == "loglog":
-        return LogLogMu()
-    if fam == "table":
-        return TabulatedMu(spec["t"], spec["mu"])
-    raise RateError("unknown mu family %r" % fam)
+    return _make(spec, _MU_FAMILIES, "mu")
 
 
 def make_delay(spec: dict) -> DelayFunction:
-    fam = spec.get("family")
-    if fam == "bounded":
-        return BoundedDelay(spec["tau_max"])
-    if fam == "proportional":
-        return ProportionalDelay(spec["q"])
-    if fam == "logfraction":
-        return LogFractionDelay()
-    if fam == "powerlag":
-        return PowerLagDelay(spec["alpha"])
-    if fam == "table":
-        return TabulatedDelay(spec["t"], spec["tau"])
-    raise RateError("unknown delay family %r" % fam)
+    """Build a DelayFunction from its document form {"family": ..., params}."""
+    return _make(spec, _DELAY_FAMILIES, "delay")

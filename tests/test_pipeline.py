@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from mustab import pipeline
 from mustab.cli import main as cli_main
 from mustab.pipeline import (
     DocumentError,
@@ -349,13 +350,79 @@ class TestCli:
         # json reads NaN as nan and 1e400 as inf
         text = (json.dumps(obj).replace('"@nan"', "NaN").replace('"@inf"', "1e400")
                 .replace('"@huge"', "1" + "0" * 400))
+        assert self.error_line(tmp_path, capsys, stages, text).startswith("error: %s: " % field)
+
+    def error_line(self, tmp_path, capsys, stages, text):
+        """The one line on stderr of a run that must exit 2 on the document."""
         doc_path = tmp_path / "sys.json"
         doc_path.write_text(text)
         code, _ = self.run_cli(tmp_path, *stages.split(), "--input", str(doc_path))
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: %s: " % field) and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("path, key, edit", [
+        ("document", "rho", lambda o: o.update(rho=0.5)),
+        ("sim", "rhoo", lambda o: o["sim"].update(rhoo=0.5)),
+        ("history", "phi1", lambda o: o["history"].update(phi1=[1.0, 4.0])),
+        ("f[0][1]", "d", lambda o: o["f"][0][1].update(d=1.0)),
+        ("g[1][0]", "C", lambda o: o["g"][1][0].update(C=2.0)),
+        ("delay", "tau_max", lambda o: o["delay"].update(tau_max=1.0)),
+        ("delay", "tau", lambda o: o.update(delay={"family": "bounded", "tau_max": 1.0,
+                                                  "tau": 1.0})),
+        ("mu", "beta", lambda o: o["mu"].update(beta=2.0)),
+        ("mu", "tau", lambda o: o.update(mu={"family": "table", "t": [1, 10, 100, 1000],
+                                             "mu": [1, 2, 3, 4], "tau": [1, 1, 1, 1]})),
+    ], ids=["top", "sim", "history", "f-term", "g-term", "logfraction", "bounded", "log",
+            "table-mu"])
+    def test_unknown_key_is_named(self, tmp_path, capsys, path, key, edit):
+        obj = json.loads(small_doc())
+        edit(obj)
+        err = self.error_line(tmp_path, capsys, "all", json.dumps(obj))
+        assert err == "error: %s: unknown key '%s'\n" % (path, key)
+
+    @pytest.mark.parametrize("field, edit", [
+        ("n", lambda o: o.update(
+            n=True, f=[[{"c": -1.0, "e": [2]}]], g=[[{"c": 0.1, "e": [2]}]], r=[1.0],
+            xi=[1.0], r_star=1.0, history={"phi0": [1.0]},
+            delay={"family": "bounded", "tau_max": 1.0}, sim={"t_start": 2.0, "t_end": 50.0})),
+        ("f[0][0].c", lambda o: o["f"][0][0].update(c=True)),
+        ("g[0][0].e", lambda o: o["g"][0][0].update(e=[True, 1])),
+        ("r", lambda o: o.update(r=[True, 2.0])),
+        ("xi", lambda o: o.update(xi=[True, 1.0])),
+        ("r_star", lambda o: o.update(r_star=True)),
+        ("history.phi0", lambda o: o.update(history={"phi0": [True, 4.0]})),
+        ("sim.t_end", lambda o: o["sim"].update(t_end=True)),
+        ("sim.h_min", lambda o: o["sim"].update(h_min=True)),
+        ("delay", lambda o: o.update(delay={"family": "bounded", "tau_max": False})),
+        ("delay", lambda o: o.update(delay={"family": "table", "t": [3, 10, 100, 1000],
+                                            "tau": [False, 1, 1, 1]})),
+        ("mu", lambda o: o.update(mu={"family": "power", "beta": True})),
+        ("mu", lambda o: o.update(mu={"family": "table", "t": [1, 10, 100, 1000],
+                                      "mu": [True, 2, 3, 4]})),
+    ], ids=["n", "coefficient", "exponent", "weight", "xi", "r_star", "phi0", "t_end",
+            "h_min", "tau_max", "table-tau", "beta", "table-mu"])
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, field, edit):
+        obj = json.loads(small_doc())
+        edit(obj)
+        err = self.error_line(tmp_path, capsys, "all", json.dumps(obj))
+        assert err.startswith("error: %s: " % field)
+
+    def test_delay_and_gauge_built_once(self, tmp_path, monkeypatch):
+        # parse_system builds the delay and the gauge to validate them; the
+        # stages and the CLI use those objects, never building them again
+        doc_path = tmp_path / "sys.json"
+        doc_path.write_text(small_doc())
+        built = []
+        for name in ("make_delay", "make_mu"):
+            make = getattr(pipeline, name)
+            monkeypatch.setattr(
+                pipeline, name, lambda spec, make=make, name=name: built.append(name) or make(spec))
+        code, _ = self.run_cli(tmp_path, "all", "--input", str(doc_path))
+        assert code == 0
+        assert sorted(built) == ["make_delay", "make_mu"]
 
     def test_comma_separated_stages(self, tmp_path):
         doc_path = tmp_path / "sys.json"

@@ -239,3 +239,17 @@ class TestFactories:
             make_mu({"family": "quadratic"})
         with pytest.raises(RateError):
             make_delay({"family": "sawtooth"})
+
+    @pytest.mark.parametrize("make, spec, message", [
+        (make_mu, {"family": "exp"}, "missing key 'eps'"),
+        (make_mu, {"family": "loglog", "eps": 0.1}, "unknown key 'eps'"),
+        (make_mu, {"family": "power", "beta": True}, "'beta' must be a number"),
+        (make_delay, {"family": "table", "t": [0, 1, 2, 3]}, "missing key 'tau'"),
+        (make_delay, {"family": "proportional", "q": 0.5, "alpha": 0.5},
+         "unknown key 'alpha'"),
+        (make_delay, {"family": "table", "t": [0, 1, 2, 3], "tau": [True, 1, 1, 1]},
+         "'tau' must be a number"),
+    ])
+    def test_spec_keys_checked(self, make, spec, message):
+        with pytest.raises(RateError, match=message):
+            make(spec)
