@@ -5,89 +5,4 @@ integration, and decay-rate fitting."""
 
 __version__ = "0.1.0"
 
-from .fields import (
-    CERTIFIED,
-    REFUTED,
-    UNDECIDED,
-    DilationMap,
-    FieldError,
-    Monomial,
-    PolyMap,
-    StructureReport,
-    Verdict,
-    check_cooperative,
-    check_nondecreasing,
-    check_omega_condition,
-    eval_field,
-    homogeneity_degree,
-    jacobian,
-)
-from .transform import (
-    TransformedSystem,
-    build_transformed_system,
-    state_to_z,
-    transform_field,
-    verify_lemma1,
-    verify_lemma2,
-    verify_lemma3,
-    z_to_state,
-)
-from .rates import (
-    DelayFunction,
-    MuFunction,
-    RateError,
-    make_delay,
-    make_mu,
-)
-from .criterion import (
-    INCONCLUSIVE,
-    STABLE_CERTIFIED,
-    CriterionReport,
-    LimitPair,
-    compute_limits,
-    criterion_margins,
-    estimate_D,
-    estimate_L,
-    evaluate_criterion,
-    preset_log_stability,
-    preset_loglog_stability,
-    search_xi,
-)
-from .dde import (
-    HistorySpec,
-    SimConfig,
-    SimulationError,
-    Trajectory,
-    export_csv,
-    fit_rate,
-    lyapunov_monitor,
-    simulate,
-)
-from .pipeline import (
-    DocumentError,
-    RunReport,
-    SystemDocument,
-    emit_outputs,
-    parse_system,
-    run_pipeline,
-)
-
-__all__ = [
-    "CERTIFIED", "REFUTED", "UNDECIDED", "DilationMap", "FieldError",
-    "Monomial", "PolyMap", "StructureReport", "Verdict",
-    "check_cooperative", "check_nondecreasing", "check_omega_condition",
-    "eval_field", "homogeneity_degree", "jacobian",
-    "TransformedSystem", "build_transformed_system", "state_to_z",
-    "transform_field", "verify_lemma1", "verify_lemma2", "verify_lemma3",
-    "z_to_state",
-    "DelayFunction", "MuFunction", "RateError", "make_delay", "make_mu",
-    "INCONCLUSIVE", "STABLE_CERTIFIED", "CriterionReport", "LimitPair",
-    "compute_limits", "criterion_margins", "estimate_D", "estimate_L",
-    "evaluate_criterion", "preset_log_stability", "preset_loglog_stability",
-    "search_xi",
-    "HistorySpec", "SimConfig", "SimulationError", "Trajectory",
-    "export_csv", "fit_rate", "lyapunov_monitor", "simulate",
-    "DocumentError", "RunReport", "SystemDocument", "emit_outputs",
-    "parse_system", "run_pipeline",
-    "__version__",
-]
+from . import criterion, dde, fields, pipeline, rates, transform  # noqa: F401

@@ -142,7 +142,7 @@ def _fit_ratio_limit(lv, u):
     if np.ptp(w) <= 1e-12 * max(1.0, np.abs(w).max()):
         return float(v[-1])
     cols = [np.ones_like(u), u]
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
         extras = [u * np.log(1.0 / u), u * np.exp(-1.0 / u)]
     for extra in extras:
         if not np.all(np.isfinite(extra)) or np.linalg.norm(extra) < 1e-13:
@@ -321,26 +321,6 @@ def evaluate_criterion(fbar, gbar, xi, r: DilationMap, r_star, p,
         rate_statement=_rate_statement(r, float(r_star)),
         hypothesis_flags=hypothesis_flags,
     )
-
-
-def _degree_zero_preset(fbar, gbar, xi, p, mu, delay):
-    if p != 0.0:
-        raise FieldError("the log-stability presets require degree p = 0")
-    r = DilationMap((1.0,) * fbar.n)
-    return evaluate_criterion(fbar, gbar, xi, r, 1.0, 0.0, compute_limits(mu, delay, 0.0, 1.0))
-
-
-def preset_log_stability(fbar, gbar, xi, p=0.0) -> CriterionReport:
-    """Degree-zero shortcut: fbar_j(xi) + gbar_j(xi) < 0 for all j gives
-    z_j = O(1/ln(t+1)) under delays tau(t) <= t - t/ln(t); the criterion
-    with mu = ln(1+t), that delay, r = 1 and r* = 1 (so L = 1, D = 0)."""
-    return _degree_zero_preset(fbar, gbar, xi, p, LogMu(), LogFractionDelay())
-
-
-def preset_loglog_stability(fbar, gbar, xi, alpha, p=0.0) -> CriterionReport:
-    """Same condition under tau(t) <= t - t**alpha, with the doubly
-    logarithmic rate z_j = O(1/ln(ln(t+3)))."""
-    return _degree_zero_preset(fbar, gbar, xi, p, LogLogMu(), PowerLagDelay(alpha))
 
 
 def search_xi(fbar, gbar, r: DilationMap, r_star, p, limits: LimitPair,

@@ -6,32 +6,29 @@ and beyond) are unreachable with fixed small steps, and the dynamics slow
 down as t grows.  Such steps soon outgrow the fastest relaxation time of
 f, so the scheme is linearly implicit: the Rosenbrock method RODAS3 (order
 3, L-stable, with an embedded order-2 estimate), using the exact Jacobian
-of f.  The delayed term enters as a known forcing G(t) = g(x(d(t))); the
-stages sit at t and t + h, so a step needs one new delayed lookup.  The
-step is the policy's.  A step is rejected and halved, never clamped, when
-its state leaves the orthant, when its estimate is of order one, or when a
-growing mode of the Jacobian takes it to the scheme's pole; below h_min
-that is a SimulationError.  Whether a mode grows is decided by
-Gershgorin's bound, then by an M-matrix certificate (one linear solve),
-and only when both fail by the eigenvalues.  With no growing mode, a
-rejected step is the scheme overshooting a stable mode, not a blow-up,
-and it may shrink below h_min down to the stable scale of the Jacobian.
-The steps after such a cut start at that scale, and the policy's step is
-tried again after 1, 2, 4, ... of them, so a decayed stiff component does
-not cost a rejected trial per step.  Dense output is cubic Hermite on stored (state,
-right-hand side) node pairs, kept in arrays that double when full, which
-is also how delayed state lookups are served.  Without a rejection the
-policy's steps do not depend on the state, so they are planned ahead; the
-lookups of planned steps whose delayed times lie behind the last node need
-only nodes already made, and are served in one pass (the method-of-steps
-observation, Bellen & Zennaro 2003, section 4.1).  Everything runs in the
-original x coordinates; the transformed z quantities are derived from the
-trajectory afterwards, which avoids the division by z_i near the origin.
+of f.  The delayed term enters as a known forcing G(t) = g(x(d(t))).
+
+There are three parts.  rodas3_step makes one step from given forcing
+values.  _Nodes keeps the (state, right-hand side) nodes in arrays that
+double when full; one vectorised cubic Hermite lookup, _lookup, serves
+every delayed state and Trajectory.sample.  simulate is the driver: the
+policy, rejections (a step that leaves the orthant, whose estimate is of
+order one, or that takes a growing mode to the scheme's pole is halved,
+never clamped; below h_min that is a SimulationError) and the stable scale
+carried past a stiff decay.  Without a rejection the policy's steps do not
+depend on the state, so they are planned ahead; the lookups of those whose
+delayed times lie behind the last node, in the history or not, need only
+nodes already made and are served as one block (the method-of-steps
+observation, Bellen & Zennaro 2003, section 4.1); any other lookup is a
+block of one.  Everything runs in the original x coordinates; the z
+quantities are derived from the trajectory afterwards.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,8 +58,14 @@ _POLE = 1.0 / _GAMMA
 _STABLE_Z = 1.0
 # the Jacobian is taken at max(x, _J_FLOOR): its entries divide by x
 _J_FLOOR = 1e-30
+# accepted states are raised to at least this: a decayed component stays positive
+_X_FLOOR = 1e-300
+# the policy's step is at most this fraction of t
+_H_CAP = 0.1
+# the identity matrix of each size, made once and shared: never written
+_identity = lru_cache()(np.eye)
 # the most policy steps planned ahead, whose lookups behind the last node
-# are served in one pass
+# are served as one block
 _BLOCK = 256
 
 
@@ -91,28 +94,36 @@ class SimConfig:
     t_end: float
     rho: float = 1e-3
     h_min: float = 1e-3
-    h_max: float = None  # None means t/10
-    x_floor: float = 1e-300
 
     def __post_init__(self):
         if not self.t_start < self.t_end:
             raise SimulationError("t_start must be below t_end")
 
     def step(self, t):
-        cap = 0.1 * t if self.h_max is None else self.h_max
-        return max(self.h_min, min(self.rho * t, max(cap, 0.0)))
+        return max(self.h_min, min(self.rho * t, max(_H_CAP * t, 0.0)))
 
 
-def _hermite(t, t0, t1, x0, x1, f0, f1):
-    h = t1 - t0
-    s = (t - t0) / h
-    s2, s3 = s * s, s * s * s
-    return (
-        (2 * s3 - 3 * s2 + 1) * x0
-        + (s3 - 2 * s2 + s) * h * f0
-        + (-2 * s3 + 3 * s2) * x1
-        + (s3 - s2) * h * f1
-    )
+def _lookup(ts, xs, fs, d, history):
+    """The states at an array of times d, as rows, from the nodes ts, xs, fs:
+    the constant history at and before the first node; with one node, its
+    linear extension; else cubic Hermite on the node interval around each
+    time, the last interval extended past the last node.  Also which times
+    took the history, and whether any other lies at or past the last node."""
+    dc = d[:, None]
+    if len(ts) == 1:
+        x = xs[0] + (dc - ts[0]) * fs[0]
+    else:
+        # rows at or before the first node are the history's, set below
+        k = np.minimum(np.searchsorted(ts, d, side="right"), len(ts) - 1)
+        t0 = ts[k - 1, None]
+        h = ts[k, None] - t0
+        s = (dc - t0) / h
+        s2, s3 = s * s, s * s * s
+        x = ((2 * s3 - 3 * s2 + 1) * xs[k - 1] + (s3 - 2 * s2 + s) * h * fs[k - 1]
+             + (-2 * s3 + 3 * s2) * xs[k] + (s3 - s2) * h * fs[k])
+    hist = d <= ts[0]
+    ahead = np.logical_or.reduce((d >= ts[-1]) & ~hist)
+    return np.where(hist[:, None], history, x), hist, bool(ahead)
 
 
 class Trajectory:
@@ -135,16 +146,30 @@ class Trajectory:
 
     def sample(self, t):
         """State at any time within [first node, last node], exact at nodes."""
-        t = float(t)
         if t < self.ts[0] or t > self.ts[-1]:
             raise SimulationError("sample time outside trajectory range")
-        k = np.searchsorted(self.ts, t)
-        if k < len(self.ts) and self.ts[k] == t:
-            return self.xs[k].copy()
-        return _hermite(
-            t, self.ts[k - 1], self.ts[k],
-            self.xs[k - 1], self.xs[k], self.fs[k - 1], self.fs[k],
-        )
+        return _lookup(self.ts, self.xs, self.fs, np.array([t], dtype=float), self.xs[0])[0][0]
+
+
+class _Nodes:
+    """The integrator's nodes (time, state, right-hand side) in arrays that
+    double when full, with the history before the first."""
+
+    def __init__(self, t, x, F, history):
+        self.ts, self.xs, self.fs = np.array([t]), np.array([x]), np.array([F])
+        self.N = 1
+        self.history = history
+
+    def append(self, t, x, F):
+        if self.N == len(self.ts):
+            self.ts, self.xs, self.fs = (np.concatenate((a, np.empty_like(a)))
+                                         for a in (self.ts, self.xs, self.fs))
+        self.ts[self.N], self.xs[self.N], self.fs[self.N] = t, x, F
+        self.N += 1
+
+    def lookup(self, d):
+        N = self.N
+        return _lookup(self.ts[:N], self.xs[:N], self.fs[:N], d, self.history)
 
 
 def _growth(J):
@@ -181,13 +206,6 @@ def _stable_scale(J, grow):
     return _STABLE_Z / stiff if grow <= 0.0 and stiff > 0.0 else np.inf
 
 
-def _forcing_slope(G_prev, G0, G1, h_prev, h):
-    """Derivative at the middle node of the parabola through the forcing at
-    t - h_prev, t and t + h: second order, so the scheme keeps its order 3
-    on a smooth forcing.  Rows of a block of steps, or one step."""
-    return ((G1 - G0) * (h_prev / h) + (G0 - G_prev) * (h / h_prev)) / (h + h_prev)
-
-
 def _field_jacobian(f, f_eval, x, x_min):
     """f(x) and the Jacobian of f at max(x, _J_FLOOR), given x's smallest
     component: one power table serves both unless a component is below
@@ -196,6 +214,53 @@ def _field_jacobian(f, f_eval, x, x_min):
     if x_min >= _J_FLOOR:
         return field_and_jacobian(f, x)
     return f_eval(x), jacobian(f, np.maximum(x, _J_FLOOR))
+
+
+def rodas3_step(x, F0, J, G1, Ft, h, f_eval):
+    """One RODAS3 step of x' = f(x) + G(t) from x at t: F0 = f(x) + G(t),
+    J the Jacobian of f at x, G1 = G(t + h), Ft the slope of G at t, and
+    f_eval evaluates f.  Returns the new state and the estimate u4."""
+    Winv = np.linalg.inv(_identity(len(x)) / (_GAMMA * h) - J)
+    u1 = Winv @ (F0 + (0.5 * h) * Ft)
+    u2 = Winv @ (F0 + (4.0 / h) * u1 + (1.5 * h) * Ft)
+    u12 = u1 - u2
+    y3 = x + 2.0 * u1
+    u3 = Winv @ (f_eval(np.maximum(y3, 0.0)) + G1 + u12 / h)
+    y4 = y3 + u3
+    u4 = Winv @ (f_eval(np.maximum(y4, 0.0)) + G1 + (u12 - (8.0 / 3.0) * u3) / h)
+    return y4 + u4, u4
+
+
+def _plan(cfg, d_of, t, t_end, eps_end):
+    """The policy's next steps from t, up to _BLOCK of them, and the
+    delayed times at their ends: without a rejection the step sequence
+    does not depend on the state."""
+    steps, ends = [], []
+    while t < t_end - eps_end and len(steps) < _BLOCK:
+        h = min(cfg.step(t), t_end - t)
+        t = t + h
+        steps.append(h)
+        ends.append(t)
+    return steps, d_of(np.array(ends))
+
+
+def _serve(nodes, g_eval, hs, ds, G_prev, G0, h_prev, hists):
+    """g(x(d)), the forcing's slope, whether d took the history and whether
+    it lay at or past the last node, for each step of a block hs from the
+    last node with delayed times ds; G_prev, G0, h_prev, hists describe the
+    last two nodes: their forcing, the step between them, history flags."""
+    xd, hist, ahead = nodes.lookup(ds)
+    G = g_eval(np.maximum(xd, 0.0))
+    Gs = np.concatenate((G_prev[None], G0[None], G))
+    hb = np.concatenate(([h_prev], hs))[:, None]
+    hp, h = hb[:-1], hb[1:]
+    dG = Gs[2:] - Gs[1:-1]
+    # the slope at t of the parabola through the forcing at t - hp, t and
+    # t + h: second order, so the scheme keeps its order 3; but the forcing
+    # may have a kink where d(t) leaves the history
+    kink = np.concatenate((hists, hist))[:-2, None]
+    Ft = np.where(kink, dG / h, (dG * (hp / h) + (Gs[1:-1] - Gs[:-2]) * (h / hp)) / (h + hp))
+    return deque(zip(G, Ft, hist, [ahead] * len(hs)))
 
 
 def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
@@ -207,69 +272,23 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
     # one domain check for the whole horizon: every lookup below is at a
     # time in [t_start, t_end]
     delay.delayed_time(np.array([t, t_end]))
-    d_of = delay.d
-    x = np.maximum(np.asarray(history.value(t), dtype=float).copy(), cfg.x_floor)
-
     f_eval = fast_evaluator(f)
     g_eval = fast_evaluator(g)
-    # the nodes, in arrays that double when full; fs[0] is 0 until the first
-    # right-hand side is known, so the first node extends as a constant
-    ts = np.empty(1024)
-    xs = np.empty((1024, len(x)))
-    fs = np.zeros((1024, len(x)))
-    ts[0], xs[0] = t, x
-    N = 1
-    tol_ahead = 1e-9
-
-    def forcing(d):
-        """g(x(d)) for an array of delayed times above t_start, by cubic
-        Hermite on the node interval around each; past the last node the
-        last interval is extended."""
-        k = np.minimum(np.searchsorted(ts[:N], d, side="right"), N - 1)
-        xd = _hermite(d[:, None], ts[k - 1, None], ts[k, None],
-                      xs[k - 1], xs[k], fs[k - 1], fs[k])
-        return g_eval(np.maximum(xd, 0.0))
-
-    def delayed_forcing(ts_):
-        """g(x(d(ts_))), whether it came from the history, and whether it
-        extrapolated past the last node."""
-        d = float(d_of(ts_))
-        if d > ts_ + tol_ahead * max(1.0, abs(ts_)):
-            raise SimulationError(
-                "delayed time %g ahead of evaluation time %g" % (d, ts_)
-            )
-        if d <= cfg.t_start:
-            return g_eval(np.maximum(history.value(d), 0.0)), True, False
-        if N == 1:
-            # no completed step yet: extend the first node linearly
-            return g_eval(np.maximum(xs[0] + (d - ts[0]) * fs[0], 0.0)), False, True
-        # at or past the last node, inside the current step: the last
-        # completed Hermite interval is extended (d(t) < t strictly)
-        return forcing(np.array([d]))[0], False, d >= ts[N - 1]
-
-    def plan(t):
-        """The policy's next steps from t, up to _BLOCK of them, and the
-        delayed times at their ends: without a rejection the step sequence
-        does not depend on the state."""
-        steps, ends = [], []
-        while t < t_end - eps_end and len(steps) < _BLOCK:
-            h = min(cfg.step(t), t_end - t)
-            t = t + h
-            steps.append(h)
-            ends.append(t)
-        return steps, d_of(np.array(ends))
-
-    G0, hist0, flagged = delayed_forcing(t)
+    phi0 = np.asarray(history.value(t), dtype=float)
+    x = np.maximum(phi0, _X_FLOOR)
+    # d(t_start) <= t_start: the first forcing is the history's
+    G0 = g_eval(np.maximum(phi0, 0.0))
     F0, J = _field_jacobian(f, f_eval, x, np.minimum.reduce(x))
-    x_max = np.maximum.reduce(x)
     F0 += G0
-    fs[0] = F0
-    eye = np.eye(len(x))
-    G_prev = h_prev = None
-    hist_prev = True
-    # planned steps ph with delayed times pd; the next is ph[i], and the
-    # lookups of steps b0 <= i < b1 are served as the rows of Gb and Ftb
-    ph, pd, i, b0, b1 = [], None, 0, 0, 0
+    nodes = _Nodes(t, x, F0, phi0)
+    # the forcing at the last two nodes, whether each took the history, and
+    # the step between them, unused while the slope takes the history's kink
+    G_prev, hists, h_prev = G0, (True, True), 1.0
+    flagged = False
+    # the policy's planned steps ph, the delayed times pd at their ends, the
+    # next one's index i, and the forcing served for the next steps
+    ph, pd, i = [], None, 0
+    served = deque()
     # steps left that start at the stable scale, and how many the next
     # step cut to it sets: twice as many each time the policy's step
     # between them was cut again
@@ -277,8 +296,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
 
     while t < t_end - eps_end:
         if i >= len(ph) and not carry:
-            ph, pd = plan(t)
-            i = b0 = b1 = 0
+            (ph, pd), i = _plan(cfg, delay.d, t, t_end, eps_end), 0
         h = ph[i] if i < len(ph) else min(cfg.step(t), t_end - t)
         grow = _growth(J)
         h_stable = None
@@ -290,49 +308,34 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             h_stable = _stable_scale(J, grow)
             if 2.0 * h_stable < 0.5 * h:
                 h = 2.0 * h_stable
-        elif (b1 <= i < len(ph) and not (hist0 or hist_prev)
-              and cfg.t_start < pd[i] < t):
-            # the lookups of the planned steps behind the last node depend
-            # only on nodes already made: serve them in one pass
-            ok = (pd[i:] > cfg.t_start) & (pd[i:] < t)
-            b0, b1 = i, i + (len(ok) if ok.all() else int(ok.argmin()))
-            Gb = forcing(pd[b0:b1])
-            hb = np.array([h_prev] + ph[b0:b1])[:, None]
-            Gs = np.vstack((G_prev, G0, Gb))
-            Ftb = _forcing_slope(Gs[:-2], Gs[1:-1], Gs[2:], hb[:-1], hb[1:])
-        blocked = b0 <= i < b1
         while True:
             if grow * h < _POLE:
-                if blocked:
-                    G1, hist1, ahead, Ft = Gb[i - b0], False, False, Ftb[i - b0]
-                else:
-                    G1, hist1, ahead = delayed_forcing(t + h)
-                    # the forcing may have a kink where d(t) leaves the history
-                    Ft = (G1 - G0) / h if hist_prev else _forcing_slope(G_prev, G0, G1, h_prev, h)
-                Winv = np.linalg.inv(eye / (_GAMMA * h) - J)
-                u1 = Winv @ (F0 + (0.5 * h) * Ft)
-                u2 = Winv @ (F0 + (4.0 / h) * u1 + (1.5 * h) * Ft)
-                u12 = u1 - u2
-                y3 = x + 2.0 * u1
-                u3 = Winv @ (f_eval(np.maximum(y3, 0.0)) + G1 + u12 / h)
-                y4 = y3 + u3
-                u4 = Winv @ (f_eval(np.maximum(y4, 0.0)) + G1
-                             + (u12 - (8.0 / 3.0) * u3) / h)
-                x_new = y4 + u4
+                if not served:
+                    # the planned steps whose delayed times lie behind the
+                    # last node need only nodes already made: one block
+                    ok = pd[i:len(ph)] < t
+                    m = len(ok) if ok.all() else int(ok.argmin())
+                    if m:
+                        hs, ds = np.array(ph[i:i + m]), pd[i:i + m]
+                    else:
+                        hs, ds = np.array([h]), np.array([float(delay.d(t + h))])
+                    served = _serve(nodes, g_eval, hs, ds, G_prev, G0, h_prev, hists)
+                G1, Ft, hist1, ahead = served.popleft()
+                x_new, u4 = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
                 lo = np.minimum.reduce(x_new)
                 # the orthant first: past it, x_new is its own absolute
                 # value, and its extremes serve the estimate and the floor
                 if lo >= 0.0:
-                    hi = np.maximum.reduce(x_new)
-                    if np.maximum.reduce(np.abs(u4)) / max(x_max, hi) <= _EST_REJECT:
-                        x_new = np.maximum(x_new, cfg.x_floor)
-                        F_new, J_new = _field_jacobian(f, f_eval, x_new,
-                                                       max(lo, cfg.x_floor))
+                    top = np.maximum.reduce(np.maximum(x, x_new))
+                    if np.maximum.reduce(np.abs(u4)) / top <= _EST_REJECT:
+                        x_new = np.maximum(x_new, _X_FLOOR)
+                        F_new, J_new = _field_jacobian(f, f_eval, x_new, max(lo, _X_FLOOR))
                         F_new += G1
                         if np.logical_and.reduce(np.isfinite(F_new)):
                             break
             # a rejection leaves the plan
-            ph, blocked, i, b0, b1 = [], False, 0, 0, 0
+            ph, i = [], 0
+            served.clear()
             if h_stable is None:
                 # with no growing mode, a rejected step is the scheme
                 # overshooting a stable mode, not a blow-up: the step may
@@ -349,24 +352,19 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                     "no step of at least %g keeps the state %s at t=%g "
                     "positive, finite and accurate" % (h_floor, x, t)
                 )
+        i += 1
         t = t + h
         x, F0, J = x_new, F_new, J_new
-        # the largest component of x, kept for the next step's estimate
-        x_max = max(hi, cfg.x_floor)
         flagged = flagged or ahead
         G_prev, G0, h_prev = G0, G1, h
-        hist_prev, hist0 = hist0, hist1
+        hists = (hists[1], hist1)
         if cut:
             carry, span = span, 2 * span
         elif not carried:
             span = 1
-        i += 1
-        if N == len(ts):
-            ts, xs, fs = (np.concatenate((a, np.empty_like(a))) for a in (ts, xs, fs))
-        ts[N], xs[N], fs[N] = t, x, F0
-        N += 1
+        nodes.append(t, x, F0)
 
-    return Trajectory(ts[:N].copy(), xs[:N].copy(), fs[:N].copy(), flagged)
+    return Trajectory(*(a[:nodes.N].copy() for a in (nodes.ts, nodes.xs, nodes.fs)), flagged)
 
 
 @dataclass

@@ -233,6 +233,38 @@ class TestRosenbrock:
             simulate(scalar_decay(), zero_map(1), d, HistorySpec(np.ones(1)), cfg)
 
 
+class TestStep:
+    """rodas3_step alone, on x' = A x + b with A Metzler and symmetric:
+    x(h) = x* + V exp(Lambda h) V^T (x0 - x*), with x* = -A^-1 b."""
+
+    A = np.array([[-3.0, 1.0, 0.5], [1.0, -2.0, 0.25], [0.5, 0.25, -1.0]])
+    b = np.array([1.0, 0.5, 0.25])
+    x0 = np.array([1.0, 2.0, 0.5])
+
+    def orders(self):
+        A, b, x0 = self.A, self.b, self.x0
+        lam, V = np.linalg.eigh(A)
+        x_star = -np.linalg.solve(A, b)
+        errs, ests = [], []
+        for h in 0.05 / 2.0 ** np.arange(4):
+            # constant forcing: G1 = b and a zero slope
+            x1, u4 = dde.rodas3_step(x0, A @ x0 + b, A, b, np.zeros(3), h, lambda y: A @ y)
+            exact = x_star + V @ (np.exp(lam * h) * (V.T @ (x0 - x_star)))
+            errs.append(np.abs(x1 - exact).max())
+            ests.append(np.abs(u4).max())
+        return (np.log2(np.divide(errs[:-1], errs[1:])),
+                np.log2(np.divide(ests[:-1], ests[1:])))
+
+    def test_one_step_error_is_fourth_order(self):
+        # a third-order method errs by O(h^4) in one step
+        assert np.all(self.orders()[0] >= 3.7)
+
+    def test_estimate_is_third_order(self):
+        # u4, the gap to the embedded order-2 solution, is O(h^3): the
+        # scale an err^(-1/3) step controller assumes
+        assert np.all(self.orders()[1] >= 2.7)
+
+
 def paper_system():
     # the section-5 system: at most two terms in a component of f, one in g
     f = PolyMap(2, [[(-5.0, (3.0, 0.0)), (2.0, (1.0, 1.0))],

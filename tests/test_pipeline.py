@@ -445,8 +445,8 @@ class TestImportFootprint:
             "import sys\n"
             "import mustab\n"
             "with open(%r) as fh:\n"
-            "    doc = mustab.parse_system(fh.read())\n"
-            "mustab.run_pipeline(doc, ['check', 'transform', 'criterion'])\n"
+            "    doc = mustab.pipeline.parse_system(fh.read())\n"
+            "mustab.pipeline.run_pipeline(doc, ['check', 'transform', 'criterion'])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         ) % PAPER_DOC
         assert self.loaded_scipy_modules(script) == "[]"
@@ -460,11 +460,12 @@ class TestImportFootprint:
         script = (
             "import sys\n"
             "import mustab\n"
-            "doc = mustab.parse_system(%r)\n"
+            "doc = mustab.pipeline.parse_system(%r)\n"
             "stages = ['check', 'transform', 'criterion', 'simulate', 'fit']\n"
-            "report, traj, _ = mustab.run_pipeline(doc, stages)\n"
+            "report, traj, _ = mustab.pipeline.run_pipeline(doc, stages)\n"
             "assert sorted(report.stage_pass) == sorted(stages)\n"
-            "mustab.emit_outputs(report, traj, %r, mu=mustab.make_mu(doc.mu_spec))\n"
+            "mustab.pipeline.emit_outputs(report, traj, %r,\n"
+            "                             mu=mustab.rates.make_mu(doc.mu_spec))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         ) % (text, str(tmp_path / "out"))
         assert self.loaded_scipy_modules(script) == "[]"
