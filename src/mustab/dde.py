@@ -8,20 +8,31 @@ f, so the scheme is linearly implicit: the Rosenbrock method RODAS3 (order
 3, L-stable, with an embedded order-2 estimate), using the exact Jacobian
 of f.  The delayed term enters as a known forcing G(t) = g(x(d(t))).
 
+The policy's step is the shortest the driver proposes; the embedded
+estimate may lengthen it, never shorten it.  After an accepted step h with
+err = max_i |u4_i| / (_ATOL + _RTOL max(x_i, x_new_i)), the next step may
+be h min(_GROW, 0.9 err^(-1/3)) (Hairer & Wanner II, section IV.8), at
+most 0.1 t and cut to end on the next delay breakpoint b_{k+1} =
+d^{-1}(b_k) from b_0 = t_start, where the solution's derivatives jump
+(Bellen & Zennaro 2003, section 4.1).  A step longer than the policy's is
+accepted only at err <= 1, and is retried shorter, down to the policy's
+step; so every step is the policy's or one whose estimated local error is
+below _RTOL.  The policy's steps still cross breakpoints.
+
 There are three parts.  rodas3_step makes one step from given forcing
 values.  _Nodes keeps the (state, right-hand side) nodes in arrays that
 double when full; one vectorised cubic Hermite lookup, _lookup, serves
 every delayed state and Trajectory.sample.  simulate is the driver: the
-policy, rejections (a step that leaves the orthant, whose estimate is of
-order one, or that takes a growing mode to the scheme's pole is halved,
-never clamped; below h_min that is a SimulationError) and the stable scale
-carried past a stiff decay.  Without a rejection the policy's steps do not
-depend on the state, so they are planned ahead; the lookups of those whose
-delayed times lie behind the last node, in the history or not, need only
-nodes already made and are served as one block (the method-of-steps
-observation, Bellen & Zennaro 2003, section 4.1); any other lookup is a
-block of one.  Everything runs in the original x coordinates; the z
-quantities are derived from the trajectory afterwards.
+step rule above, rejections (a step that leaves the orthant, whose estimate
+is of order one, or that takes a growing mode to the scheme's pole is
+halved, never clamped; below h_min that is a SimulationError) and the
+stable scale carried past a stiff decay.  While the policy binds, its
+steps do not depend on the state, so they are planned ahead; the lookups
+of those whose delayed times lie behind the last node, in the history or
+not, need only nodes already made and are served as one block (the
+method-of-steps observation); any other lookup, a lengthened step's
+among them, is a block of one.  Everything runs in the original x
+coordinates; the z quantities are derived from the trajectory afterwards.
 """
 
 from __future__ import annotations
@@ -43,9 +54,10 @@ from .rates import DelayFunction, MuFunction, RateError
 # a_ij and c_ij are 0); x_new = x + 2 u1 + u3 + u4, and the embedded
 # solution leaves out u4, which is the estimate
 _GAMMA = 0.5
-# a step whose estimate, relative to the state's largest component,
-# exceeds this is rejected: not an accuracy control, which would cut the
-# policy's steps, but a guard against a step that went wrong
+# a step of the policy's length whose estimate, relative to the state's
+# largest component, exceeds this is rejected: a guard against a step that
+# went wrong, not an accuracy control, which would cut the policy's steps;
+# accuracy only lengthens them (_RTOL below)
 _EST_REJECT = 0.5
 # the scheme's stability function has its pole at h * lambda = 1/gamma; a
 # step that takes a growing mode of the Jacobian there (a finite-time
@@ -67,6 +79,13 @@ _identity = lru_cache()(np.eye)
 # the most policy steps planned ahead, whose lookups behind the last node
 # are served as one block
 _BLOCK = 256
+# the tolerances of the error norm err that may lengthen the policy's
+# step, and the most a step may grow over the last one
+_RTOL = 1e-7
+_ATOL = 1e-12
+_GROW = 4.0
+# the most delay breakpoints made; past the last, no step is lengthened
+_BREAKS = 64
 
 
 class SimulationError(RuntimeError):
@@ -113,24 +132,31 @@ def _lookup(ts, xs, fs, d, history):
     if len(ts) == 1:
         x = xs[0] + (dc - ts[0]) * fs[0]
     else:
-        # rows at or before the first node are the history's, set below
-        k = np.minimum(np.searchsorted(ts, d, side="right"), len(ts) - 1)
-        t0 = ts[k - 1, None]
-        h = ts[k, None] - t0
-        s = (dc - t0) / h
-        s2, s3 = s * s, s * s * s
-        x = ((2 * s3 - 3 * s2 + 1) * xs[k - 1] + (s3 - 2 * s2 + s) * h * fs[k - 1]
-             + (-2 * s3 + 3 * s2) * xs[k] + (s3 - s2) * h * fs[k])
+        # node k - 1 starts each time's interval; rows at or before the
+        # first node are the history's, set below
+        k = ts[1:-1].searchsorted(d, side="right") + 1
+        j = k - 1
+        t0 = ts[j]
+        h = (ts[k] - t0)[:, None]
+        s = (dc - t0[:, None]) / h
+        # x0 + s h f0 + s^2 c2 + s^3 c3 with the end values and slopes
+        # matched: c2 + c3 = dx - h f0 and 2 c2 + 3 c3 = h f1 - h f0
+        x0, hf0 = xs[j], h * fs[j]
+        dx = xs[k] - x0
+        c3 = hf0 + h * fs[k] - 2.0 * dx
+        x = x0 + s * (hf0 + s * (dx - hf0 - c3 + s * c3))
     hist = d <= ts[0]
-    ahead = np.logical_or.reduce((d >= ts[-1]) & ~hist)
+    last = np.maximum.reduce(d)
+    ahead = last >= ts[-1] and last > ts[0]
     return np.where(hist[:, None], history, x), hist, bool(ahead)
 
 
 class Trajectory:
     """Dense-output record: strictly increasing node times with states and
-    right-hand-side values (for cubic Hermite evaluation)."""
+    right-hand-side values (for cubic Hermite evaluation), and how many of
+    the steps between them the estimate lengthened past the policy's."""
 
-    def __init__(self, ts, xs, fs, extrapolation_flagged=False):
+    def __init__(self, ts, xs, fs, extrapolation_flagged=False, lengthened_steps=0):
         self.ts = np.asarray(ts, dtype=float)
         self.xs = np.asarray(xs, dtype=float)
         self.fs = np.asarray(fs, dtype=float)
@@ -139,6 +165,7 @@ class Trajectory:
         if self.xs.ndim != 2 or len(self.xs) != len(self.ts) or self.fs.shape != self.xs.shape:
             raise SimulationError("inconsistent trajectory shapes")
         self.extrapolation_flagged = bool(extrapolation_flagged)
+        self.lengthened_steps = int(lengthened_steps)
 
     @property
     def n(self):
@@ -252,15 +279,53 @@ def _serve(nodes, g_eval, hs, ds, G_prev, G0, h_prev, hists):
     xd, hist, ahead = nodes.lookup(ds)
     G = g_eval(np.maximum(xd, 0.0))
     Gs = np.concatenate((G_prev[None], G0[None], G))
-    hb = np.concatenate(([h_prev], hs))[:, None]
-    hp, h = hb[:-1], hb[1:]
-    dG = Gs[2:] - Gs[1:-1]
+    dGs = Gs[1:] - Gs[:-1]
+    h = hs[:, None]
+    hp = np.concatenate(([h_prev], hs[:-1]))[:, None]
+    r = h / hp
     # the slope at t of the parabola through the forcing at t - hp, t and
     # t + h: second order, so the scheme keeps its order 3; but the forcing
     # may have a kink where d(t) leaves the history
     kink = np.concatenate((hists, hist))[:-2, None]
-    Ft = np.where(kink, dG / h, (dG * (hp / h) + (Gs[1:-1] - Gs[:-2]) * (h / hp)) / (h + hp))
+    Ft = np.where(kink, dGs[1:] / h, (dGs[1:] / r + dGs[:-1] * r) / (h + hp))
     return deque(zip(G, Ft, hist, [ahead] * len(hs)))
+
+
+class _Breakpoints:
+    """The delay breakpoints b_{k+1} = d^{-1}(b_k) from b_0 = t_start, made
+    only as far as they are asked for, and at most _BREAKS of them."""
+
+    def __init__(self, delay, t):
+        self.delay, self.b, self.made = delay, t, 0
+
+    def after(self, t):
+        """The first breakpoint past t: inf once d has a fixed point at the
+        last one or stays below it on its domain; None when _BREAKS are made
+        and none of them is past t."""
+        while self.b <= t:
+            if self.made == _BREAKS:
+                return None
+            b = self.delay.d_inverse(self.b)
+            self.b = b if b > self.b else np.inf
+            self.made += 1
+        return self.b
+
+
+def _err_norm(u4, scale):
+    """The error norm of an estimate u4 over the state's componentwise scale."""
+    return np.maximum.reduce(np.abs(u4) / (_ATOL + _RTOL * scale))
+
+
+def _longer_step(h, err, h_pol, cap, t, breaks):
+    """The step from t that the error norm err of the accepted step h
+    before it allows, at most cap and cut to end on the next breakpoint,
+    and that breakpoint when it ends there; the policy's step h_pol and
+    None when that is no longer, or the breakpoints made are used up."""
+    h = min(h * min(_GROW, 0.9 / max(err, 1e-300) ** (1.0 / 3.0)), cap)
+    b = breaks.after(t) if h > h_pol else None
+    if b is None or b - t <= h_pol:
+        return h_pol, None
+    return (b - t, b) if b - t <= h else (h, None)
 
 
 def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
@@ -293,11 +358,29 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
     # step cut to it sets: twice as many each time the policy's step
     # between them was cut again
     carry, span = 0, 1
+    # the error norm of the last accepted step when it was lengthened, else
+    # a lower bound on it, and the estimate u4 and the state's componentwise
+    # scale over that step, which give the norm itself
+    err, exact, u4, scale = np.inf, True, None, None
+    breaks = _Breakpoints(delay, t)
+    lengthened = 0
 
     while t < t_end - eps_end:
-        if i >= len(ph) and not carry:
+        h = h_pol = ph[i] if i < len(ph) else min(cfg.step(t), t_end - t)
+        land = None
+        # the error norm is taken only when its lower bound lets the
+        # estimate lengthen the policy's step
+        if not carry and _GROW * h_prev > h_pol and err < (0.9 * h_prev / h_pol) ** 3:
+            if not exact:
+                err = _err_norm(u4, scale)
+            h, land = _longer_step(h_prev, err, h_pol, min(_H_CAP * t, t_end - t), t, breaks)
+        longer = h > h_pol
+        if longer:
+            # a lengthened step leaves the plan
+            ph, i = [], 0
+            served.clear()
+        elif i >= len(ph) and not carry:
             (ph, pd), i = _plan(cfg, delay.d, t, t_end, eps_end), 0
-        h = ph[i] if i < len(ph) else min(cfg.step(t), t_end - t)
         grow = _growth(J)
         h_stable = None
         carried, cut = carry > 0, False
@@ -321,13 +404,22 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                         hs, ds = np.array([h]), np.array([float(delay.d(t + h))])
                     served = _serve(nodes, g_eval, hs, ds, G_prev, G0, h_prev, hists)
                 G1, Ft, hist1, ahead = served.popleft()
-                x_new, u4 = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
+                x_new, u4_new = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
                 lo = np.minimum.reduce(x_new)
                 # the orthant first: past it, x_new is its own absolute
                 # value, and its extremes serve the estimate and the floor
                 if lo >= 0.0:
-                    top = np.maximum.reduce(np.maximum(x, x_new))
-                    if np.maximum.reduce(np.abs(u4)) / top <= _EST_REJECT:
+                    scale_new = np.maximum(x, x_new)
+                    if longer:
+                        err_new = _err_norm(u4_new, scale_new)
+                        accept = err_new <= 1.0
+                    else:
+                        est = np.maximum.reduce(np.abs(u4_new))
+                        top = np.maximum.reduce(scale_new)
+                        accept = est / top <= _EST_REJECT
+                        # scale_new <= top: a lower bound on the norm
+                        err_new = est / (_ATOL + _RTOL * top)
+                    if accept:
                         x_new = np.maximum(x_new, _X_FLOOR)
                         F_new, J_new = _field_jacobian(f, f_eval, x_new, max(lo, _X_FLOOR))
                         F_new += G1
@@ -336,6 +428,11 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             # a rejection leaves the plan
             ph, i = [], 0
             served.clear()
+            if longer:
+                # a lengthened step is retried shorter, down to the policy's
+                h, land = max(0.5 * h, h_pol), None
+                longer = h > h_pol
+                continue
             if h_stable is None:
                 # with no growing mode, a rejected step is the scheme
                 # overshooting a stable mode, not a blow-up: the step may
@@ -353,8 +450,10 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                     "positive, finite and accurate" % (h_floor, x, t)
                 )
         i += 1
-        t = t + h
+        lengthened += longer
+        t = t + h if land is None else land
         x, F0, J = x_new, F_new, J_new
+        err, exact, u4, scale = err_new, longer, u4_new, scale_new
         flagged = flagged or ahead
         G_prev, G0, h_prev = G0, G1, h
         hists = (hists[1], hist1)
@@ -364,7 +463,8 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             span = 1
         nodes.append(t, x, F0)
 
-    return Trajectory(*(a[:nodes.N].copy() for a in (nodes.ts, nodes.xs, nodes.fs)), flagged)
+    return Trajectory(*(a[:nodes.N].copy() for a in (nodes.ts, nodes.xs, nodes.fs)),
+                      flagged, lengthened)
 
 
 @dataclass

@@ -324,12 +324,9 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
         if not sim:
             raise DocumentError("sim: simulation requested but no sim config present")
         t_start = float(sim.get("t_start", max(delay.t_min, 0.0)))
-        cfg = SimConfig(
-            t_start=t_start,
-            t_end=float(sim["t_end"]),
-            rho=float(sim.get("rho", 1e-3)),
-            h_min=float(sim.get("h_min", 1e-3)),
-        )
+        # SimConfig holds the defaults of the keys the document leaves out
+        cfg = SimConfig(t_start, float(sim["t_end"]),
+                        **{k: float(sim[k]) for k in ("rho", "h_min") if k in sim})
         history = HistorySpec(doc.phi0)
         traj = simulate(doc.f, doc.g, delay, history, cfg)
         burn_in = {} if tsys is None else dict(
@@ -342,6 +339,8 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
             "burn_in": monitor.burn_in,
             "monitor": monitor.to_dict(),
             "extrapolation_flagged": traj.extrapolation_flagged,
+            "steps": len(traj.ts) - 1,
+            "lengthened_steps": traj.lengthened_steps,
         }
         report.stage_pass["simulate"] = True
         report.monitor = monitor

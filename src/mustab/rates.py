@@ -248,6 +248,26 @@ class DelayFunction:
         whole range it evaluates on once (the integrator)."""
         raise NotImplementedError
 
+    def d_inverse(self, b):
+        """The time t >= b at which d(t) = b, for d nondecreasing: the delay
+        breakpoint that follows b.  b itself when d(b) = b, inf when d stays
+        below b on the domain.  A bracket that doubles, then narrowed 32-fold
+        at a time by evaluating d on a grid of it."""
+        gap = b - float(self.d(b))
+        if not gap > 0.0:
+            return b
+        lo, hi = b, min(b + gap, self.t_max)
+        while self.d(hi) < b:
+            if hi >= self.t_max:
+                return np.inf
+            lo, gap = hi, 2.0 * gap
+            hi = min(b + gap, self.t_max)
+        while hi - lo > 4.0 * np.spacing(hi):
+            grid = np.linspace(lo, hi, 33)
+            k = int(np.searchsorted(self.d(grid), b))
+            lo, hi = grid[max(k - 1, 0)], grid[k]
+        return float(hi)
+
     def _check_t(self, t):
         t = np.asarray(t)
         if np.any(t < self.t_min) or np.any(t > self.t_max):
@@ -273,6 +293,9 @@ class BoundedDelay(DelayFunction):
     def d(self, t):
         return t - self.tau_max
 
+    def d_inverse(self, b):
+        return b + self.tau_max
+
     def params(self):
         return {"tau_max": self.tau_max}
 
@@ -287,6 +310,9 @@ class ProportionalDelay(DelayFunction):
 
     def d(self, t):
         return self.q * t
+
+    def d_inverse(self, b):
+        return b / self.q
 
     def params(self):
         return {"q": self.q}
@@ -315,6 +341,9 @@ class PowerLagDelay(DelayFunction):
 
     def d(self, t):
         return t ** self.alpha
+
+    def d_inverse(self, b):
+        return b ** (1.0 / self.alpha)
 
     def params(self):
         return {"alpha": self.alpha}

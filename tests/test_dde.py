@@ -118,31 +118,35 @@ def fixed_step_end(f, g, delay, t_end, h):
 
 
 class TestRosenbrock:
-    def test_quadratic_decay_is_exact(self):
+    def test_quadratic_decay_is_exact(self, monkeypatch):
         # x' = -x^2, x = 1/(1 + t): the scheme reproduces it to rounding at
         # any step, so its order shows on the cubic below
+        monkeypatch.setattr(dde, "_GROW", 1.0)
         for h in (0.2, 0.1):
             assert fixed_step_end(scalar(-1.0, 2.0), zero_map(1), BoundedDelay(1.0),
                                   4.0, h) == pytest.approx(0.2, abs=1e-14)
 
-    def test_observed_order_on_cubic_decay(self):
+    def test_observed_order_on_cubic_decay(self, monkeypatch):
         # x' = -x^3, x = 1/sqrt(1 + 2t)
+        monkeypatch.setattr(dde, "_GROW", 1.0)
         errs = [abs(fixed_step_end(scalar(-1.0, 3.0), zero_map(1), BoundedDelay(1.0),
                                    4.0, h) - 1.0 / 3.0) for h in (0.1, 0.05, 0.025)]
         assert np.all(np.log2(np.divide(errs[:-1], errs[1:])) >= 2.6)
 
-    def test_observed_order_with_delayed_forcing(self):
+    def test_observed_order_with_delayed_forcing(self, monkeypatch):
         # x' = -x^2 + x(t/2)^2 / 2 from t = 0: d(t) > t_start for t > 0, so
         # the forcing is smooth; orders from successive halvings of h
+        monkeypatch.setattr(dde, "_GROW", 1.0)
         ends = [fixed_step_end(scalar(-1.0, 2.0), scalar(0.5, 2.0), ProportionalDelay(0.5),
                                6.0, h) for h in (0.2, 0.1, 0.05, 0.025)]
         diffs = np.abs(np.diff(ends))
         assert np.all(np.log2(diffs[:-1] / diffs[1:]) >= 2.6)
 
-    def test_stiff_linear_scalar(self):
+    def test_stiff_linear_scalar(self, monkeypatch):
         # x' = -1e4 x + 5e3 x(t - 1), unit history: after layers of width
         # 1e-4 at each integer time, x = 2**-k on (k - 1, k]; steps of 0.05
         # are 500 relaxation times and none may be rejected
+        monkeypatch.setattr(dde, "_GROW", 1.0)
         f, g = scalar(-1e4, 1.0), scalar(5e3, 1.0)
         traj = simulate(f, g, BoundedDelay(1.0), HistorySpec(np.ones(1)),
                         SimConfig(t_start=0.0, t_end=10.0, rho=0.0, h_min=0.05))
@@ -263,6 +267,84 @@ class TestStep:
         # u4, the gap to the embedded order-2 solution, is O(h^3): the
         # scale an err^(-1/3) step controller assumes
         assert np.all(self.orders()[1] >= 2.7)
+
+
+def bisect_inverse(d, b, hi):
+    """The t in [b, hi] at which d(t) = b, by bisection of d."""
+    lo = b
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if d(mid) < b else (lo, mid)
+    return hi
+
+
+class TestLengthen:
+    """The embedded estimate lengthens the policy's step, landing on delay
+    breakpoints; a lengthened step passes the error norm."""
+
+    @pytest.mark.parametrize("delay", [BoundedDelay(1.5), ProportionalDelay(0.3),
+                                       PowerLagDelay(0.6), LogFractionDelay(),
+                                       TabulatedDelay([1.0, 10.0, 100.0, 1e3],
+                                                      [0.5, 2.0, 20.0, 200.0])],
+                             ids=lambda d: d.family)
+    def test_breakpoints_match_a_bisection(self, delay):
+        # the closed forms (bounded, proportional, powerlag) and the
+        # monotone solve (logfraction, table) against a bisection of d
+        b = 3.0
+        for _ in range(4):
+            b_next = delay.d_inverse(b)
+            hi = min(delay.t_max, 1e6)
+            assert b_next == pytest.approx(bisect_inverse(delay.d, b, hi), rel=1e-12)
+            b = b_next
+
+    def test_logfraction_from_e_has_no_breakpoints(self):
+        # d(e) = e: the history's end is a fixed point of d
+        breaks = dde._Breakpoints(LogFractionDelay(), np.e)
+        assert breaks.after(np.e) == np.inf and breaks.after(1e6) == np.inf
+
+    def test_breakpoints_stop_at_the_cap(self):
+        breaks = dde._Breakpoints(BoundedDelay(1.0), 0.0)
+        assert breaks.after(2.5) == 3.0
+        assert breaks.after(dde._BREAKS - 0.5) == dde._BREAKS
+        assert breaks.after(dde._BREAKS) is None
+
+    def test_stiff_delayed_scalar_lands_on_breakpoints(self):
+        # x' = -1e4 x + 5e3 x(t - 1), unit history, default settings: x =
+        # 2**-k on (k - 1, k] after a layer at each integer time, where a
+        # step that crosses it would smear it
+        f, g = scalar(-1e4, 1.0), scalar(5e3, 1.0)
+        traj = simulate(f, g, BoundedDelay(1.0), HistorySpec(np.ones(1)),
+                        SimConfig(t_start=0.0, t_end=10.0))
+        assert traj.lengthened_steps > 0
+        for k in (2, 5, 10):
+            assert traj.sample(float(k))[0] == pytest.approx(2.0 ** -k, rel=1e-6)
+
+    @pytest.mark.parametrize("delay, t_start", [(BoundedDelay(1.0), 1.0),
+                                                (LogFractionDelay(), np.e)],
+                             ids=["bounded", "logfraction"])
+    def test_lengthened_steps_pass_the_norm(self, monkeypatch, delay, t_start):
+        trials = []
+        step = dde.rodas3_step
+
+        def recording(x, F0, J, G1, Ft, h, f_eval):
+            x_new, u4 = step(x, F0, J, G1, Ft, h, f_eval)
+            trials.append((x, h, x_new, u4))
+            return x_new, u4
+        monkeypatch.setattr(dde, "rodas3_step", recording)
+        f, g = paper_system()
+        cfg = SimConfig(t_start=t_start, t_end=1e3)
+        traj = simulate(f, g, delay, HistorySpec(np.array([1.0, 4.0])), cfg)
+        # the trials from one node share its state; the last is accepted
+        accepted = [a for a, b in zip(trials, trials[1:] + [None])
+                    if b is None or b[0] is not a[0]]
+        assert len(accepted) == len(traj.ts) - 1
+        longer = 0
+        for t, (x, h, x_new, u4) in zip(traj.ts, accepted):
+            if h > min(cfg.step(t), cfg.t_end - t):
+                longer += 1
+                err = np.max(np.abs(u4) / (dde._ATOL + dde._RTOL * np.maximum(x, x_new)))
+                assert err <= 1.0
+        assert longer == traj.lengthened_steps > 0
 
 
 def paper_system():

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from mustab import pipeline
 from mustab.cli import main as cli_main
+from mustab.dde import SimConfig
 from mustab.pipeline import (
     DocumentError,
     emit_outputs,
@@ -122,6 +124,31 @@ class TestRunPipeline:
         assert traj is not None
         assert np.all(np.asarray(report.simulation["final_state"]) > 0)
         assert "slopes" in report.simulation
+
+    def test_sim_defaults_come_from_simconfig(self, monkeypatch):
+        # a document that leaves out rho and h_min simulates with
+        # SimConfig's defaults, whatever they are; one that gives rho keeps it
+        @dataclass
+        class Config(SimConfig):
+            rho: float = 5e-3
+            h_min: float = 2e-3
+        cfgs = []
+        real = pipeline.simulate
+        monkeypatch.setattr(pipeline, "SimConfig", Config)
+        monkeypatch.setattr(pipeline, "simulate",
+                            lambda *a: cfgs.append(a[-1]) or real(*a))
+        for sim in ({"t_start": np.e, "t_end": 50.0},
+                    {"t_start": np.e, "t_end": 50.0, "rho": 2e-3}):
+            run_pipeline(parse_system(small_doc(sim=sim)), ["simulate"])
+        assert [(c.rho, c.h_min) for c in cfgs] == [(5e-3, 2e-3), (2e-3, 2e-3)]
+
+    def test_reference_steps_are_counted(self):
+        # the reference run to t = 1e6 at the default settings: the
+        # estimate lengthens most of the policy's steps
+        report, traj, _ = run_pipeline(parse_system(paper_text()), ["simulate"])
+        sim = report.simulation
+        assert sim["steps"] == len(traj.ts) - 1 <= 4000
+        assert 0 < sim["lengthened_steps"] < sim["steps"]
 
     def test_inconclusive_gives_exit_one(self):
         obj = json.loads(paper_text())
