@@ -38,6 +38,10 @@ NUMERIC = "numeric-estimate"
 MARGIN_EPS = 1e-12
 TOL_ROUND = 1e-12
 
+# search_xi's coordinate sweeps at most, and the factors it tries on each weight
+_SWEEPS = 16
+_FACTORS = (0.5, 0.8, 1.25, 2.0)
+
 STABLE_CERTIFIED = "STABLE_CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
@@ -240,20 +244,61 @@ def criterion_margins(fbar: PolyMap, gbar: PolyMap, xi, r: DilationMap,
 
     margin_j = (r_star/r_j) * [fbar_j(xi)/xi_j
                + L**((p+1)/r_star) * gbar_j(xi)/xi_j] + D
-    The r_star = 1 case is the base theorem's inequality verbatim.
+    The r_star = 1 case is the base theorem's inequality verbatim.  L and D
+    may be arrays, one row of margins each; a non-finite L, D or
+    L**((p+1)/r_star), or a sum of the three that overflows, gives its row
+    infinite margins.
     """
     xi = np.asarray(xi, dtype=float)
     if np.any(xi <= 0):
         raise FieldError("xi must be strictly positive")
     r_star = float(r_star)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Lfac = np.float64(limits.L) ** ((float(p) + 1.0) / r_star)
-    if not (limits.finite() and np.isfinite(Lfac)):
-        return np.full(fbar.n, np.inf)
+    # [()] keeps one pair's L a float64 scalar: numpy's array power may
+    # round it one ulp off libm's, and so move a reported margin
+    L = np.asarray(limits.L, dtype=float)[()]
+    D = np.asarray(limits.D, dtype=float)[()]
     rv = np.asarray(r.r)
     fb = eval_field(fbar, xi) / xi
     gb = eval_field(gbar, xi) / xi
-    return (r_star / rv) * (fb + Lfac * gb) + limits.D
+    with np.errstate(over="ignore", invalid="ignore"):
+        Lfac = L ** ((float(p) + 1.0) / r_star)
+        m = (r_star / rv) * (fb + Lfac[..., None] * gb) + D[..., None]
+        # also fails a row whose finite L, D and Lfac overflow in the sum:
+        # no certificate rests on limits that far out of range
+        ok = np.isfinite(L + D + Lfac)
+    if not ok.all():
+        m[~ok] = np.inf
+    return m
+
+
+def certifies(margins):
+    """Whether margins certify: every one below -MARGIN_EPS, row-wise for
+    a 2-D array of them.  The one negativity test of the margins."""
+    return np.logical_and.reduce(np.asarray(margins) < -MARGIN_EPS, axis=-1)
+
+
+def burn_in_node(ts, mu: MuFunction, delay: DelayFunction, fbar: PolyMap,
+                 gbar: PolyMap, xi, r: DilationMap, r_star, p):
+    """The index of the first time in ts at which the margins certify with
+    the pointwise L = mu(t)/mu(d(t)) and D = mu'(t)/mu(t)**(1 - p/r_star)
+    in place of their limits, or None when there is none: past it the
+    running sup of the Lyapunov-type V = mu(t) max_i (z_i/xi_i)**r_star
+    stops growing.  A time outside the delay's domain, or with d(t) < 0
+    where mu is undefined, is skipped; mu(d) is taken as at least 1e-300."""
+    ts = np.asarray(ts, dtype=float)
+    inside = (ts >= delay.t_min) & (ts <= delay.t_max)
+    d = np.full_like(ts, -1.0)
+    d[inside] = delay.delayed_time(ts[inside])
+    idx = np.flatnonzero(d >= 0)
+    t, d = ts[idx], d[idx]
+    r_star = float(r_star)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mu_t = np.asarray(mu.value(t), dtype=float)
+        L = mu_t / np.maximum(mu.value(d), 1e-300)
+        D = mu.derivative(t) * mu_t ** (float(p) / r_star - 1.0)
+    m = criterion_margins(fbar, gbar, xi, r, r_star, p, LimitPair(L, D, "pointwise"))
+    hit = np.flatnonzero(certifies(m))
+    return int(idx[hit[0]]) if len(hit) else None
 
 
 @dataclass
@@ -306,7 +351,7 @@ def evaluate_criterion(fbar, gbar, xi, r: DilationMap, r_star, p,
         if k.startswith("structure:")
     )
     ok = (
-        np.all(margins < -MARGIN_EPS)
+        certifies(margins)
         and limits.converged
         and limits.finite()
         and structural_ok
@@ -323,8 +368,7 @@ def evaluate_criterion(fbar, gbar, xi, r: DilationMap, r_star, p,
     )
 
 
-def search_xi(fbar, gbar, r: DilationMap, r_star, p, limits: LimitPair,
-              sweeps=16, factors=(0.5, 0.8, 1.25, 2.0)):
+def search_xi(fbar, gbar, r: DilationMap, r_star, p, limits: LimitPair):
     """Multiplicative coordinate descent for a weight vector with all
     margins negative.
 
@@ -337,19 +381,19 @@ def search_xi(fbar, gbar, r: DilationMap, r_star, p, limits: LimitPair,
         # no weight certifies on infinite limits (the margins are infinite)
         # or on an estimate that did not converge
         return None, xi, best
-    if np.all(best < -MARGIN_EPS):
+    if certifies(best):
         return xi, xi, best
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         improved = False
         for j in range(fbar.n):
-            for fac in factors:
+            for fac in _FACTORS:
                 cand = xi.copy()
                 cand[j] *= fac
                 m = criterion_margins(fbar, gbar, cand, r, r_star, p, limits)
                 if m.max() < best.max():
                     xi, best = cand, m
                     improved = True
-                    if np.all(best < -MARGIN_EPS):
+                    if certifies(best):
                         return xi, xi, best
         if not improved:
             break

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import DilationMap, PolyMap, fast_evaluator, field_and_jacobian, jacobian
-from .rates import DelayFunction, MuFunction, RateError
+from .rates import DelayFunction, MuFunction
 
 # RODAS3 (Sandu et al., Atmos. Environ. 31, 1997) in the transformed form of
 # Hairer & Wanner II, (IV.7.25): with W = I/(gamma h) - J and gamma = 1/2,
@@ -487,15 +487,13 @@ class MonitorReport:
 
 
 def lyapunov_monitor(traj: Trajectory, mu: MuFunction, xi, r: DilationMap,
-                     r_star, fbar: PolyMap = None, gbar: PolyMap = None,
-                     p=0.0, delay: DelayFunction = None) -> MonitorReport:
+                     r_star, burn_in=0) -> MonitorReport:
     """Track V(t) = mu(t) * max_i (z_i/xi_i)**r_star and its running sup.
 
     The proof object behind the margin criterion asserts the running sup
-    max(1, sup V) stays constant past some burn-in time.  Burn-in is taken
-    operationally as the first node where the margins are negative with the
-    instantaneous ratio mu(t)/mu(d(t)) in place of its limit (requires
-    fbar/gbar/p/delay; without them burn-in defaults to the first node).
+    max(1, sup V) stays constant past some burn-in time.  burn_in is the
+    index of that time's node (criterion.burn_in_node finds it), or None
+    when there is none, and then the growth is taken from the first node.
     """
     xi = np.asarray(xi, dtype=float)
     rv = np.asarray(r.r)
@@ -503,28 +501,8 @@ def lyapunov_monitor(traj: Trajectory, mu: MuFunction, xi, r: DilationMap,
     z = traj.xs ** (1.0 / rv)
     V = np.asarray(mu.value(traj.ts)) * np.max((z / xi) ** r_star, axis=1)
     V_sup = np.maximum(1.0, np.maximum.accumulate(V))
-
-    burn_idx = 0
-    found = fbar is None
-    if fbar is not None:
-        from .criterion import LimitPair, criterion_margins
-
-        for k, tk in enumerate(traj.ts):
-            try:
-                d = float(delay.delayed_time(tk))
-            except RateError:
-                continue
-            if d < 0:
-                continue
-            Lpt = float(mu.value(tk)) / max(float(mu.value(d)), 1e-300)
-            Dpt = float(mu.derivative(tk)) * float(mu.value(tk)) ** (p / r_star - 1.0)
-            m = criterion_margins(
-                fbar, gbar, xi, r, r_star, p, LimitPair(Lpt, Dpt, "pointwise")
-            )
-            if np.all(m < 0):
-                burn_idx = k
-                found = True
-                break
+    found = burn_in is not None
+    burn_idx = burn_in if found else 0
     growth = float(V_sup[-1] / V_sup[burn_idx])
     return MonitorReport(traj.ts, V, V_sup, float(traj.ts[burn_idx]), growth, found)
 
@@ -549,6 +527,14 @@ def fit_rate(traj: Trajectory, mu: MuFunction, window=0.5):
     return slopes, intercepts
 
 
+def write_csv(path, cols, data):
+    """Write the columns data under the header cols as CSV at full precision."""
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        fh.writelines(row % r for r in zip(*(np.asarray(c).tolist() for c in data)))
+
+
 def export_csv(traj: Trajectory, path, V=None):
     """Write the trajectory as CSV `t,x1,...,xn[,V]` at full precision."""
     cols = ["t"] + ["x%d" % (j + 1) for j in range(traj.n)]
@@ -556,7 +542,4 @@ def export_csv(traj: Trajectory, path, V=None):
     if V is not None:
         cols.append("V")
         data.append(np.asarray(V))
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.writelines(row % r for r in zip(*(np.asarray(c).tolist() for c in data)))
+    write_csv(path, cols, data)

@@ -20,6 +20,7 @@ from . import __version__
 from .criterion import (
     STABLE_CERTIFIED,
     CriterionReport,
+    burn_in_node,
     compute_limits,
     evaluate_criterion,
 )
@@ -31,6 +32,7 @@ from .dde import (
     fit_rate,
     lyapunov_monitor,
     simulate,
+    write_csv,
 )
 from .fields import (
     CERTIFIED,
@@ -329,9 +331,9 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
                         **{k: float(sim[k]) for k in ("rho", "h_min") if k in sim})
         history = HistorySpec(doc.phi0)
         traj = simulate(doc.f, doc.g, delay, history, cfg)
-        burn_in = {} if tsys is None else dict(
-            fbar=tsys.fbar, gbar=tsys.gbar, p=tsys.p, delay=delay)
-        monitor = lyapunov_monitor(traj, mu, doc.xi, doc.r, doc.r_star, **burn_in)
+        burn_in = 0 if tsys is None else burn_in_node(
+            traj.ts, mu, delay, tsys.fbar, tsys.gbar, doc.xi, doc.r, doc.r_star, tsys.p)
+        monitor = lyapunov_monitor(traj, mu, doc.xi, doc.r, doc.r_star, burn_in)
         report.simulation = {
             "t_end": float(traj.ts[-1]),
             "final_state": traj.xs[-1].tolist(),
@@ -380,10 +382,6 @@ def emit_outputs(report: RunReport, traj, out_dir, mu=None):
             mask = np.all(traj.xs > 0.0, axis=1)
             lnmu = np.log(np.asarray(mu.value(traj.ts[mask])))
             cols = ["lnmu_t"] + ["ln_x%d" % (j + 1) for j in range(traj.n)]
-            row = ",".join(["%.17g"] * len(cols)) + "\n"
-            with open(ppath, "w") as fh:
-                fh.write(",".join(cols) + "\n")
-                lnx = np.log(traj.xs[mask])
-                fh.writelines(row % r for r in zip(lnmu.tolist(), *lnx.T.tolist()))
+            write_csv(ppath, cols, [lnmu, *np.log(traj.xs[mask]).T])
             paths.append(ppath)
     return paths

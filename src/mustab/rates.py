@@ -99,12 +99,6 @@ class MuFunction:
         if np.any(np.asarray(t) < 0):
             raise RateError("mu is defined for t >= 0")
 
-    def params(self):
-        return {}
-
-    def to_dict(self):
-        return {"family": self.family, **self.params()}
-
 
 class ExponentialMu(MuFunction):
     family = "exp"
@@ -124,9 +118,6 @@ class ExponentialMu(MuFunction):
     def log_value(self, t):
         self._check_t(t)
         return self.eps * np.asarray(t, dtype=float)
-
-    def params(self):
-        return {"eps": self.eps}
 
 
 class PowerMu(MuFunction):
@@ -148,9 +139,6 @@ class PowerMu(MuFunction):
     def log_value(self, t):
         self._check_t(t)
         return self.beta * np.log1p(np.asarray(t, dtype=float))
-
-    def params(self):
-        return {"beta": self.beta}
 
 
 class LogMu(MuFunction):
@@ -207,8 +195,6 @@ class TabulatedMu(MuFunction):
         self._interp = _Cubic(times, _pchip(times, values))
         self.t_min = times[0]
         self.t_max = times[-1]
-        self._times = times
-        self._values = values
 
     def _check_t(self, t):
         super()._check_t(t)
@@ -222,9 +208,6 @@ class TabulatedMu(MuFunction):
     def derivative(self, t):
         self._check_t(t)
         return self._interp.derivative(np.clip(t, self.t_min, self.t_max))
-
-    def params(self):
-        return {"t": self._times.tolist(), "mu": self._values.tolist()}
 
 
 class DelayFunction:
@@ -275,12 +258,6 @@ class DelayFunction:
                 "%s delay is valid on [%g, %g]" % (self.family, self.t_min, self.t_max)
             )
 
-    def params(self):
-        return {}
-
-    def to_dict(self):
-        return {"family": self.family, **self.params()}
-
 
 class BoundedDelay(DelayFunction):
     family = "bounded"
@@ -296,9 +273,6 @@ class BoundedDelay(DelayFunction):
     def d_inverse(self, b):
         return b + self.tau_max
 
-    def params(self):
-        return {"tau_max": self.tau_max}
-
 
 class ProportionalDelay(DelayFunction):
     family = "proportional"
@@ -313,9 +287,6 @@ class ProportionalDelay(DelayFunction):
 
     def d_inverse(self, b):
         return b / self.q
-
-    def params(self):
-        return {"q": self.q}
 
 
 class LogFractionDelay(DelayFunction):
@@ -345,9 +316,6 @@ class PowerLagDelay(DelayFunction):
     def d_inverse(self, b):
         return b ** (1.0 / self.alpha)
 
-    def params(self):
-        return {"alpha": self.alpha}
-
 
 class TabulatedDelay(DelayFunction):
     family = "table"
@@ -368,17 +336,12 @@ class TabulatedDelay(DelayFunction):
         self._d = _Cubic(times, (times[:-1] - c0, 1.0 - c1, -c2, -c3))
         self.t_min = times[0]
         self.t_max = times[-1]
-        self._times = times
-        self._taus = taus
         # d(t) should be nondecreasing; sampled check, reported not enforced
         grid = np.linspace(self.t_min, self.t_max, 512)
         self.delayed_time_monotone = bool(np.all(np.diff(self._d(grid)) >= -1e-9))
 
     def d(self, t):
         return self._d(t)
-
-    def params(self):
-        return {"t": self._times.tolist(), "tau": self._taus.tolist()}
 
 
 # each family's class and the parameters of its document form, in the

@@ -6,10 +6,13 @@ import pytest
 from mustab.criterion import (
     ANALYTIC,
     INCONCLUSIVE,
+    MARGIN_EPS,
     NUMERIC,
     STABLE_CERTIFIED,
     LimitPair,
     _fit_ratio_limit,
+    burn_in_node,
+    certifies,
     compute_limits,
     criterion_margins,
     estimate_D,
@@ -33,7 +36,11 @@ from mustab.rates import (
 )
 from mustab.transform import transform_field
 
-from generate import random_stable_linear_metzler
+from generate import (
+    random_homogeneous_cooperative,
+    random_homogeneous_nondecreasing,
+    random_stable_linear_metzler,
+)
 
 
 def paper_transformed():
@@ -234,6 +241,91 @@ class TestMargins:
         with pytest.raises(Exception):
             criterion_margins(fbar, gbar, np.array([1.0, 0.0]), r, 2.0, 2.0,
                               LimitPair(1.0, 0.0, ANALYTIC))
+
+
+class TestCertifies:
+    def test_one_row(self):
+        assert certifies(np.array([-4.0, -1.0]))
+        assert not certifies(np.array([-4.0, 0.0]))
+        assert not certifies(np.array([-4.0, -0.5 * MARGIN_EPS]))
+        assert not certifies(np.array([-4.0, np.nan]))
+
+    def test_row_wise(self):
+        m = np.array([[-4.0, -1.0], [-4.0, np.inf], [-np.inf, -2.0 * MARGIN_EPS],
+                      [1.0, -1.0]])
+        assert certifies(m).tolist() == [True, False, True, False]
+
+
+def burn_in_loop(ts, mu, delay, fbar, gbar, xi, r, r_star, p):
+    """The per-node burn-in search that burn_in_node replaced, kept as its
+    reference: one scalar limit pair and one margin row per node."""
+    for k, tk in enumerate(ts):
+        try:
+            d = float(delay.delayed_time(tk))
+        except RateError:
+            continue
+        if d < 0:
+            continue
+        Lpt = float(mu.value(tk)) / max(float(mu.value(d)), 1e-300)
+        Dpt = float(mu.derivative(tk)) * float(mu.value(tk)) ** (p / r_star - 1.0)
+        m = criterion_margins(fbar, gbar, xi, r, r_star, p, LimitPair(Lpt, Dpt, "pointwise"))
+        if certifies(m):
+            return k
+    return None
+
+
+_TABLE_T = np.geomspace(1.0, 300.0, 12)
+# a delay of each family with a gauge it pairs with in the benchmark
+BURN_IN_PAIRS = [
+    (lambda rng: BoundedDelay(rng.uniform(1.0, 3.0)), lambda rng: PowerMu(rng.uniform(0.3, 1.5))),
+    (lambda rng: ProportionalDelay(rng.uniform(0.3, 0.8)),
+     lambda rng: PowerMu(rng.uniform(0.3, 1.5))),
+    (lambda rng: PowerLagDelay(rng.uniform(0.3, 0.8)), lambda rng: LogLogMu()),
+    (lambda rng: LogFractionDelay(), lambda rng: LogMu()),
+    (lambda rng: TabulatedDelay(_TABLE_T, rng.uniform(0.5, 2.0) * np.sqrt(_TABLE_T)),
+     lambda rng: PowerMu(rng.uniform(0.3, 1.5))),
+]
+
+
+class TestBurnIn:
+    def test_matches_the_per_node_loop(self):
+        # the times start inside [0, tau) of a bounded delay, where d < 0,
+        # and before the domains of the logfraction, powerlag and table delays
+        rng = np.random.default_rng(7)
+        ts = np.geomspace(0.5, 200.0, 200)
+        seen = set()
+        for k in range(60):
+            make_delay, make_gauge = BURN_IN_PAIRS[k % len(BURN_IN_PAIRS)]
+            delay, mu = make_delay(rng), make_gauge(rng)
+            n = 1 + k % 3
+            r = DilationMap(tuple(rng.choice([0.5, 1.0, 2.0], size=n)))
+            p = float(rng.uniform(0.5, 2.0))
+            fbar, _ = transform_field(random_homogeneous_cooperative(rng, n, r, p), r)
+            gbar, _ = transform_field(random_homogeneous_nondecreasing(rng, n, r, p), r)
+            args = (ts, mu, delay, fbar, gbar, np.ones(n), r, max(r.r), p)
+            node = burn_in_node(*args)
+            assert node == burn_in_loop(*args)
+            seen.add(None if node is None else node > 0)
+        # found at the first node, found later, and not found all occur
+        assert seen == {None, False, True}
+
+    def test_overflowing_and_zero_gauges_are_skipped(self):
+        # mu(d) = 0 at t = 1 under tau = 1, one ulp later L**22 overflows, and
+        # at t = 1.5 the margin is positive
+        f = PolyMap(1, [[(-1.0, (1.0,))]])
+        g = PolyMap(1, [[(0.1, (1.0,))]])
+        r = DilationMap((1.0,))
+        fbar, _ = transform_field(f, r)
+        gbar, _ = transform_field(g, r)
+        ts = np.array([1.0, np.nextafter(1.0, 2.0), 1.5, 50.0])
+        assert burn_in_node(ts, LogMu(), BoundedDelay(1.0), fbar, gbar, np.ones(1), r,
+                            0.045, 0.0) == 3
+
+    def test_no_node_inside_the_domain(self):
+        fbar, gbar, r = paper_transformed()
+        ts = np.array([0.5, 1.0, 2.0])
+        assert burn_in_node(ts, LogMu(), LogFractionDelay(), fbar, gbar, np.ones(2), r,
+                            2.0, 2.0) is None
 
 
 class TestVerdict:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -550,6 +553,17 @@ class TestMonitor:
                                DilationMap((1.0,)), 1.0)
         assert rep.growth_ratio > 100.0
 
+    def test_growth_is_taken_from_the_burn_in_node(self):
+        t = np.array([1.0, 2.0, 3.0, 4.0])
+        traj = Trajectory(t, [[2.0], [3.0], [4.0], [8.0]], np.zeros((4, 1)))
+        mu = TabulatedMu(t, np.ones(4) + 1e-9 * t)
+        rep = lyapunov_monitor(traj, mu, np.ones(1), DilationMap((1.0,)), 1.0, 2)
+        assert (rep.burn_in, rep.burn_in_found) == (3.0, True)
+        assert rep.growth_ratio == pytest.approx(2.0)
+        rep = lyapunov_monitor(traj, mu, np.ones(1), DilationMap((1.0,)), 1.0, None)
+        assert (rep.burn_in, rep.burn_in_found) == (1.0, False)
+        assert rep.growth_ratio == pytest.approx(4.0)
+
     def test_report_dict(self):
         traj = Trajectory([1.0, 2.0], [[1.0], [0.5]], [[0.0], [0.0]])
         rep = lyapunov_monitor(traj, LogMu(), np.ones(1), DilationMap((1.0,)), 1.0)
@@ -579,6 +593,20 @@ class TestFitRate:
         traj = Trajectory(t, np.ones((5, 1)), np.zeros((5, 1)))
         with pytest.raises(SimulationError):
             fit_rate(traj, LogMu())
+
+
+def test_dde_does_not_import_criterion():
+    # the margins and when they certify belong to criterion alone; the
+    # monitor is handed the burn-in node it found
+    tree = ast.parse(Path(dde.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[-1] == "criterion" for name in names)
 
 
 class TestExport:

@@ -239,6 +239,17 @@ class TestScalarSystems:
                                  ["check", "transform", "criterion", "simulate"])
         assert rep.monitor.burn_in > 1.0 and rep.monitor.burn_in_found
 
+    def test_monitor_skips_zero_gauge_at_the_node(self):
+        # t_start = 0 under a proportional delay: d(0) = 0 >= 0, and
+        # mu(0) = ln 1 = 0 is raised to the negative power p/r_star - 1
+        obj = json.loads(scalar_doc([{"c": 0.1, "e": [1.0]}], 1.0))
+        obj.update(f=[[{"c": -1.0, "e": [1.0]}]], delay={"family": "proportional", "q": 0.5},
+                   sim={"t_end": 5.0})
+        rep, _, code = run_pipeline(parse_system(json.dumps(obj)),
+                                    ["check", "transform", "criterion", "simulate"])
+        assert code == 0
+        assert rep.monitor.burn_in > 0.0 and rep.monitor.burn_in_found
+
 
 class TestLimitRegressions:
     def run_criterion(self, tmp_path, obj):

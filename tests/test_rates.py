@@ -226,7 +226,7 @@ class TestFactories:
         ]
         for spec in specs:
             mu = make_mu(spec)
-            assert mu.to_dict()["family"] == spec["family"]
+            assert mu.family == spec["family"]
 
     def test_delay_specs(self):
         assert isinstance(make_delay({"family": "bounded", "tau_max": 1.0}), BoundedDelay)
