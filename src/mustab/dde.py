@@ -8,31 +8,35 @@ f, so the scheme is linearly implicit: the Rosenbrock method RODAS3 (order
 3, L-stable, with an embedded order-2 estimate), using the exact Jacobian
 of f.  The delayed term enters as a known forcing G(t) = g(x(d(t))).
 
-The policy's step is the shortest the driver proposes; the embedded
-estimate may lengthen it, never shorten it.  After an accepted step h with
-err = max_i |u4_i| / (_ATOL + _RTOL max(x_i, x_new_i)), the next step may
-be h min(_GROW, 0.9 err^(-1/3)) (Hairer & Wanner II, section IV.8), at
-most 0.1 t and cut to end on the next delay breakpoint b_{k+1} =
-d^{-1}(b_k) from b_0 = t_start, where the solution's derivatives jump
-(Bellen & Zennaro 2003, section 4.1).  A step longer than the policy's is
-accepted only at err <= 1, and is retried shorter, down to the policy's
-step; so every step is the policy's or one whose estimated local error is
-below _RTOL.  The policy's steps still cross breakpoints.
+The policy's step is the one the driver takes unless the estimate allows
+a longer one.  After an accepted step h with err = max_i |u4_i| / (_ATOL +
+_RTOL max(x_i, x_new_i)), the next step may be h min(_GROW, 0.9
+err^(-1/3)) (Hairer & Wanner II, section IV.8), at most 0.1 t and cut to
+end on the next delay breakpoint b_{k+1} = d^{-1}(b_k) from b_0 = t_start,
+where the solution's derivatives jump (Bellen & Zennaro 2003, section
+4.1), even one nearer than the policy's step.  A step longer than the
+policy's is accepted only at err <= 1, and is retried shorter, down to the
+policy's step.  A policy step longer than h_min whose estimate exceeds
+_EST_CUT of the state's largest component is halved, down to h_min; at
+or below h_min only _EST_REJECT rejects it.  Policy steps that are not
+lengthened still cross breakpoints.
 
 There are three parts.  rodas3_step makes one step from given forcing
 values.  _Nodes keeps the (state, right-hand side) nodes in arrays that
-double when full; one vectorised cubic Hermite lookup, _lookup, serves
-every delayed state and Trajectory.sample.  simulate is the driver: the
-step rule above, rejections (a step that leaves the orthant, whose estimate
-is of order one, or that takes a growing mode to the scheme's pole is
-halved, never clamped; below h_min that is a SimulationError) and the
+double when full, with two cubic Hermite lookups of the same arithmetic:
+_lookup, vectorised over an array of delayed times, and _lookup_one, for
+one time, which also serves Trajectory.sample.  simulate is the driver:
+the step rule above, rejections (a step that leaves the orthant, whose
+estimate is too large, or that takes a growing mode to the scheme's pole
+is halved, never clamped; below h_min that is a SimulationError) and the
 stable scale carried past a stiff decay.  While the policy binds, its
 steps do not depend on the state, so they are planned ahead; the lookups
 of those whose delayed times lie behind the last node, in the history or
-not, need only nodes already made and are served as one block (the
-method-of-steps observation); any other lookup, a lengthened step's
-among them, is a block of one.  Everything runs in the original x
-coordinates; the z quantities are derived from the trajectory afterwards.
+not, need only nodes already made and are served as one block by _lookup
+(the method-of-steps observation).  Every other step, a lengthened,
+landing or retried one or a planned one alone behind the last node, takes
+one _lookup_one.  Everything runs in the original x coordinates; the z
+quantities are derived from the trajectory afterwards.
 """
 
 from __future__ import annotations
@@ -54,11 +58,15 @@ from .rates import DelayFunction, MuFunction
 # a_ij and c_ij are 0); x_new = x + 2 u1 + u3 + u4, and the embedded
 # solution leaves out u4, which is the estimate
 _GAMMA = 0.5
-# a step of the policy's length whose estimate, relative to the state's
-# largest component, exceeds this is rejected: a guard against a step that
-# went wrong, not an accuracy control, which would cut the policy's steps;
-# accuracy only lengthens them (_RTOL below)
+# a step of at most the policy's length whose estimate, relative to the
+# state's largest component, exceeds this is rejected: a guard against a
+# step of at most h_min that went wrong
 _EST_REJECT = 0.5
+# such a step longer than h_min is halved, down to h_min, when that ratio
+# exceeds this: an accuracy cut on the few policy steps that are far too
+# long, where the median ratio is of order 1e-6; accuracy otherwise only
+# lengthens the policy's steps (_RTOL below)
+_EST_CUT = 1e-2
 # the scheme's stability function has its pole at h * lambda = 1/gamma; a
 # step that takes a growing mode of the Jacobian there (a finite-time
 # blow-up ahead) is rejected before it is made
@@ -151,6 +159,26 @@ def _lookup(ts, xs, fs, d, history):
     return np.where(hist[:, None], history, x), hist, bool(ahead)
 
 
+def _lookup_one(ts, xs, fs, N, d, history):
+    """One row of _lookup, for one time d from the first N nodes, with the
+    same arithmetic on (n,) vectors: the state, whether it took the history
+    and whether d lies at or past the last node."""
+    t0 = ts[0]
+    if d <= t0:
+        return history, True, False
+    if N == 1:
+        return xs[0] + (d - t0) * fs[0], False, True
+    k = ts[1:N - 1].searchsorted(d, side="right") + 1
+    j = k - 1
+    t0 = ts[j]
+    h = ts[k] - t0
+    s = (d - t0) / h
+    x0, hf0 = xs[j], h * fs[j]
+    dx = xs[k] - x0
+    c3 = hf0 + h * fs[k] - 2.0 * dx
+    return x0 + s * (hf0 + s * (dx - hf0 - c3 + s * c3)), False, bool(d >= ts[N - 1])
+
+
 class Trajectory:
     """Dense-output record: strictly increasing node times with states and
     right-hand-side values (for cubic Hermite evaluation), and how many of
@@ -175,7 +203,7 @@ class Trajectory:
         """State at any time within [first node, last node], exact at nodes."""
         if t < self.ts[0] or t > self.ts[-1]:
             raise SimulationError("sample time outside trajectory range")
-        return _lookup(self.ts, self.xs, self.fs, np.array([t], dtype=float), self.xs[0])[0][0]
+        return np.array(_lookup_one(self.ts, self.xs, self.fs, len(self.ts), t, self.xs[0])[0])
 
 
 class _Nodes:
@@ -197,6 +225,9 @@ class _Nodes:
     def lookup(self, d):
         N = self.N
         return _lookup(self.ts[:N], self.xs[:N], self.fs[:N], d, self.history)
+
+    def lookup_one(self, d):
+        return _lookup_one(self.ts, self.xs, self.fs, self.N, d, self.history)
 
 
 def _growth(J):
@@ -291,6 +322,19 @@ def _serve(nodes, g_eval, hs, ds, G_prev, G0, h_prev, hists):
     return deque(zip(G, Ft, hist, [ahead] * len(hs)))
 
 
+def _serve_one(nodes, g_eval, h, d, G_prev, G0, h_prev, kink):
+    """_serve for one step h with delayed time d, from one lookup: g is
+    still evaluated on a row, which rounds as a block's row does, and the
+    slope takes the kink when the forcing at the last node but one took
+    the history."""
+    xd, hist, ahead = nodes.lookup_one(d)
+    G1 = g_eval(np.maximum(xd, 0.0)[None])[0]
+    if kink:
+        return G1, (G1 - G0) / h, hist, ahead
+    r = h / h_prev
+    return G1, ((G1 - G0) / r + (G0 - G_prev) * r) / (h + h_prev), hist, ahead
+
+
 class _Breakpoints:
     """The delay breakpoints b_{k+1} = d^{-1}(b_k) from b_0 = t_start, made
     only as far as they are asked for, and at most _BREAKS of them."""
@@ -319,11 +363,12 @@ def _err_norm(u4, scale):
 def _longer_step(h, err, h_pol, cap, t, breaks):
     """The step from t that the error norm err of the accepted step h
     before it allows, at most cap and cut to end on the next breakpoint,
-    and that breakpoint when it ends there; the policy's step h_pol and
-    None when that is no longer, or the breakpoints made are used up."""
+    even one nearer than the policy's step h_pol, and that breakpoint when
+    it ends there; h_pol and None when the norm allows no step longer than
+    h_pol, or the breakpoints made are used up."""
     h = min(h * min(_GROW, 0.9 / max(err, 1e-300) ** (1.0 / 3.0)), cap)
     b = breaks.after(t) if h > h_pol else None
-    if b is None or b - t <= h_pol:
+    if b is None:
         return h_pol, None
     return (b - t, b) if b - t <= h else (h, None)
 
@@ -375,8 +420,8 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                 err = _err_norm(u4, scale)
             h, land = _longer_step(h_prev, err, h_pol, min(_H_CAP * t, t_end - t), t, breaks)
         longer = h > h_pol
-        if longer:
-            # a lengthened step leaves the plan
+        if h != h_pol:
+            # a lengthened step, or one cut to land on a breakpoint, leaves the plan
             ph, i = [], 0
             served.clear()
         elif i >= len(ph) and not carry:
@@ -392,18 +437,24 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             if 2.0 * h_stable < 0.5 * h:
                 h = 2.0 * h_stable
         while True:
+            coarse = False
             if grow * h < _POLE:
-                if not served:
+                m = 0
+                if not served and i < len(ph):
                     # the planned steps whose delayed times lie behind the
                     # last node need only nodes already made: one block
                     ok = pd[i:len(ph)] < t
                     m = len(ok) if ok.all() else int(ok.argmin())
-                    if m:
-                        hs, ds = np.array(ph[i:i + m]), pd[i:i + m]
-                    else:
-                        hs, ds = np.array([h]), np.array([float(delay.d(t + h))])
-                    served = _serve(nodes, g_eval, hs, ds, G_prev, G0, h_prev, hists)
-                G1, Ft, hist1, ahead = served.popleft()
+                    if m > 1:
+                        served = _serve(nodes, g_eval, np.array(ph[i:i + m]), pd[i:i + m],
+                                        G_prev, G0, h_prev, hists)
+                if served:
+                    G1, Ft, hist1, ahead = served.popleft()
+                else:
+                    # a step off the plan, or a planned one alone behind the last node
+                    d = pd[i] if m else float(delay.d(t + h))
+                    G1, Ft, hist1, ahead = _serve_one(nodes, g_eval, h, d,
+                                                      G_prev, G0, h_prev, hists[0])
                 x_new, u4_new = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
                 lo = np.minimum.reduce(x_new)
                 # the orthant first: past it, x_new is its own absolute
@@ -416,7 +467,8 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                     else:
                         est = np.maximum.reduce(np.abs(u4_new))
                         top = np.maximum.reduce(scale_new)
-                        accept = est / top <= _EST_REJECT
+                        coarse = h > cfg.h_min and est / top > _EST_CUT
+                        accept = est / top <= _EST_REJECT and not coarse
                         # scale_new <= top: a lower bound on the norm
                         err_new = est / (_ATOL + _RTOL * top)
                     if accept:
@@ -425,13 +477,17 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                         F_new += G1
                         if np.logical_and.reduce(np.isfinite(F_new)):
                             break
-            # a rejection leaves the plan
-            ph, i = [], 0
+            # a rejection leaves the plan and the breakpoint
+            ph, i, land = [], 0, None
             served.clear()
             if longer:
                 # a lengthened step is retried shorter, down to the policy's
-                h, land = max(0.5 * h, h_pol), None
+                h = max(0.5 * h, h_pol)
                 longer = h > h_pol
+                continue
+            if coarse:
+                # an inaccurate policy step is halved, never below h_min
+                h = max(0.5 * h, cfg.h_min)
                 continue
             if h_stable is None:
                 # with no growing mode, a rejected step is the scheme

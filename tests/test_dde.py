@@ -411,6 +411,114 @@ class TestLookupBlock:
             assert np.array_equal(blocked.fs, per_step.fs)
 
 
+@st.composite
+def nodes_and_time(draw):
+    """A node store of 1 to 6 nodes in n <= 3, and a delayed time at or
+    before the first node, on a node, inside an interval or past the last."""
+    N = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3))
+    values = st.floats(-10.0, 10.0)
+    gaps = draw(hnp.arrays(float, N - 1, elements=st.floats(1e-3, 5.0)))
+    ts = draw(st.floats(-5.0, 5.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    xs, fs = (draw(hnp.arrays(float, (N, n), elements=values)) for _ in range(2))
+    history = draw(hnp.arrays(float, n, elements=st.floats(0.0, 10.0)))
+    nodes = dde._Nodes(ts[0], xs[0], fs[0], history)
+    for k in range(1, N):
+        nodes.append(ts[k], xs[k], fs[k])
+    kind = draw(st.sampled_from(("before", "first", "node", "inside", "past")))
+    k = draw(st.integers(0, N - 1))
+    if kind == "before":
+        d = ts[0] - draw(st.floats(1e-6, 10.0))
+    elif kind == "first":
+        d = ts[0]
+    elif kind == "node":
+        d = ts[k]
+    elif kind == "inside" and N > 1:
+        k = min(k, N - 2)
+        d = ts[k] + draw(st.floats(0.0, 1.0)) * (ts[k + 1] - ts[k])
+    else:
+        d = ts[-1] + draw(st.floats(0.0, 10.0))
+    return nodes, float(d)
+
+
+class TestLookupOne:
+    """A step off the plan takes one delayed time's lookup, which is
+    _lookup's row for that time, bit for bit."""
+
+    @given(nodes_and_time())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_row_of_the_block_lookup(self, case):
+        nodes, d = case
+        xs, hists, ahead = nodes.lookup(np.array([d]))
+        x, hist, ahead_one = nodes.lookup_one(d)
+        assert np.array_equal(x, xs[0])
+        assert (hist, ahead_one) == (hists[0], ahead)
+
+    def test_no_one_row_block(self, monkeypatch):
+        # the section-5 system under logfraction: nearly every step is
+        # lengthened, and each takes one lookup, never a block of one
+        blocks, ones = [], []
+        serve, one = dde._serve, dde._Nodes.lookup_one
+        monkeypatch.setattr(dde, "_serve", lambda nodes, g_eval, hs, *rest:
+                            blocks.append(len(hs)) or serve(nodes, g_eval, hs, *rest))
+        monkeypatch.setattr(dde._Nodes, "lookup_one", lambda self, d:
+                            ones.append(d) or one(self, d))
+        f, g = paper_system()
+        traj = simulate(f, g, LogFractionDelay(), HistorySpec(np.array([1.0, 4.0])),
+                        SimConfig(t_start=np.e, t_end=1e3))
+        assert traj.lengthened_steps > 0
+        assert len(ones) >= traj.lengthened_steps
+        assert blocks and min(blocks) > 1
+
+
+def term_rows(rows):
+    return [[(t["c"], tuple(t["e"])) for t in row] for row in rows]
+
+
+class TestAccuracyCut:
+    """A policy step longer than h_min whose estimate is a large fraction of
+    the state is halved."""
+
+    # a generated stable system, n = 3, under a logfraction delay, where a
+    # few of the policy's steps at rho = 1e-2 had estimates of 0.08 to 0.17
+    # of the state and x(32) ended 14.7% from the run at rho = 1e-3
+    DOC = {
+        "n": 3,
+        "f": [[{"c": -3.76, "e": [3.375, 0.0, 0.0]}, {"c": 0.91, "e": [0.0, 0.0, 1.08]},
+               {"c": 0.45, "e": [0.0, 5.4, 0.0]}, {"c": 0.13, "e": [0.0, 0.75, 0.93]}],
+              [{"c": -4.39, "e": [0.0, 4.8, 0.0]}, {"c": 0.83, "e": [0.74, 0.0, 0.7232]},
+               {"c": 0.7, "e": [0.0, 0.0, 0.96]}, {"c": 0.76, "e": [0.93, 3.312, 0.0]}],
+              [{"c": -3.06, "e": [0.0, 0.0, 1.76]}, {"c": 0.29, "e": [0.56, 7.904, 0.0]},
+               {"c": 0.2, "e": [0.0, 8.8, 0.0]}, {"c": 0.54, "e": [0.31, 1.43, 1.3748]}]],
+        "g": [[{"c": 0.51, "e": [1.0, 2.75, 0.21]}, {"c": 0.76, "e": [2.58125, 0.82, 0.09]}],
+              [{"c": 0.56, "e": [1.53125, 1.0, 0.27]}, {"c": 0.54, "e": [0.76, 0.36, 0.6448]}],
+              [{"c": 0.19, "e": [1.95, 0.68, 1.0]}, {"c": 0.84, "e": [2.73125, 0.33, 0.82]}]],
+        "phi0": [0.8, 1.85, 1.6],
+        "t_start": 4.0,
+    }
+
+    def run(self, rho):
+        doc = self.DOC
+        f, g = (PolyMap(doc["n"], term_rows(doc[k])) for k in ("f", "g"))
+        traj = simulate(f, g, LogFractionDelay(), HistorySpec(np.array(doc["phi0"])),
+                        SimConfig(t_start=doc["t_start"], t_end=60.0, rho=rho))
+        return traj.sample(32.0)
+
+    def test_coarse_policy_steps_are_cut(self):
+        np.testing.assert_allclose(self.run(1e-2), self.run(1e-3), rtol=1e-2, atol=0.0)
+
+    def test_cut_stops_at_h_min(self, monkeypatch):
+        # with every policy step above h_min cut, the run halves down to
+        # h_min and no further, and does not fail: every step but the last
+        # is h_min
+        monkeypatch.setattr(dde, "_EST_CUT", 0.0)
+        f, g = paper_system()
+        traj = simulate(f, g, BoundedDelay(1.0), HistorySpec(np.array([1.0, 4.0])),
+                        SimConfig(t_start=1.0, t_end=3.0, rho=1e-2))
+        h = np.diff(traj.ts)[:-1]
+        np.testing.assert_allclose(h, 1e-3, rtol=1e-9)
+
+
 def abscissa(J):
     return np.linalg.eigvals(J).real.max()
 
