@@ -56,14 +56,6 @@ class LimitPair:
     def finite(self):
         return np.isfinite(self.L) and np.isfinite(self.D)
 
-    def to_dict(self):
-        return {
-            "L": self.L,
-            "D": self.D,
-            "method": self.method,
-            "converged": self.converged,
-        }
-
 
 def _analytic_L(mu, delay):
     if isinstance(delay, BoundedDelay):

@@ -16,10 +16,12 @@ end on the next delay breakpoint b_{k+1} = d^{-1}(b_k) from b_0 = t_start,
 where the solution's derivatives jump (Bellen & Zennaro 2003, section
 4.1), even one nearer than the policy's step.  A step longer than the
 policy's is accepted only at err <= 1, and is retried shorter, down to the
-policy's step.  A policy step longer than h_min whose estimate exceeds
-_EST_CUT of the state's largest component is halved, down to h_min; at
-or below h_min only _EST_REJECT rejects it.  Policy steps that are not
-lengthened still cross breakpoints.
+policy's step.  The step after a landing is the policy's: the estimate
+of a step that ended on a breakpoint says nothing of the one past it.  A
+policy step longer than h_min whose estimate exceeds _EST_CUT of the
+state's largest component is halved, down to h_min; at or below h_min
+only _EST_REJECT rejects it.  Policy steps that are not lengthened still
+cross breakpoints.
 
 There are three parts.  rodas3_step makes one step from given forcing
 values.  _Nodes keeps the (state, right-hand side) nodes in arrays that
@@ -29,13 +31,13 @@ one time, which also serves Trajectory.sample.  simulate is the driver:
 the step rule above, rejections (a step that leaves the orthant, whose
 estimate is too large, or that takes a growing mode to the scheme's pole
 is halved, never clamped; below h_min that is a SimulationError) and the
-stable scale carried past a stiff decay.  While the policy binds, its
-steps do not depend on the state, so they are planned ahead; the lookups
-of those whose delayed times lie behind the last node, in the history or
-not, need only nodes already made and are served as one block by _lookup
-(the method-of-steps observation).  Every other step, a lengthened,
-landing or retried one or a planned one alone behind the last node, takes
-one _lookup_one.  Everything runs in the original x coordinates; the z
+stable scale carried past a stiff decay.  The policy's steps do not
+depend on the state, so when the policy binds, the step is not carried
+and no forcing is left to serve, _plan takes its next steps for as long
+as their delayed times lie before the last node: their lookups need only
+nodes already made (the method-of-steps observation), and a plan of two
+or more is served as one block by _lookup.  Every other step takes one
+_lookup_one.  Everything runs in the original x coordinates; the z
 quantities are derived from the trajectory afterwards.
 """
 
@@ -84,8 +86,7 @@ _X_FLOOR = 1e-300
 _H_CAP = 0.1
 # the identity matrix of each size, made once and shared: never written
 _identity = lru_cache()(np.eye)
-# the most policy steps planned ahead, whose lookups behind the last node
-# are served as one block
+# the most policy steps in one plan, whose lookups are served as one block
 _BLOCK = 256
 # the tolerances of the error norm err that may lengthen the policy's
 # step, and the most a step may grow over the last one
@@ -135,7 +136,7 @@ def _lookup(ts, xs, fs, d, history):
     the constant history at and before the first node; with one node, its
     linear extension; else cubic Hermite on the node interval around each
     time, the last interval extended past the last node.  Also which times
-    took the history, and whether any other lies at or past the last node."""
+    took the history."""
     dc = d[:, None]
     if len(ts) == 1:
         x = xs[0] + (dc - ts[0]) * fs[0]
@@ -154,15 +155,13 @@ def _lookup(ts, xs, fs, d, history):
         c3 = hf0 + h * fs[k] - 2.0 * dx
         x = x0 + s * (hf0 + s * (dx - hf0 - c3 + s * c3))
     hist = d <= ts[0]
-    last = np.maximum.reduce(d)
-    ahead = last >= ts[-1] and last > ts[0]
-    return np.where(hist[:, None], history, x), hist, bool(ahead)
+    return np.where(hist[:, None], history, x), hist
 
 
 def _lookup_one(ts, xs, fs, N, d, history):
     """One row of _lookup, for one time d from the first N nodes, with the
-    same arithmetic on (n,) vectors: the state, whether it took the history
-    and whether d lies at or past the last node."""
+    same arithmetic on (n,) vectors: the state, whether it took the history,
+    and whether d lies at or past the last node without taking it."""
     t0 = ts[0]
     if d <= t0:
         return history, True, False
@@ -222,10 +221,6 @@ class _Nodes:
         self.ts[self.N], self.xs[self.N], self.fs[self.N] = t, x, F
         self.N += 1
 
-    def lookup(self, d):
-        N = self.N
-        return _lookup(self.ts[:N], self.xs[:N], self.fs[:N], d, self.history)
-
     def lookup_one(self, d):
         return _lookup_one(self.ts, self.xs, self.fs, self.N, d, self.history)
 
@@ -238,12 +233,15 @@ def _growth(J):
     it is positive, an M-matrix certificate: s(M) <= max_i (M v)_i / v_i
     for any v > 0 (Collatz-Wielandt), and the solution of M v = -1 is
     positive exactly when M is Hurwitz (Berman & Plemmons 1994, ch. 6).
-    For a cooperative f, M = J.  Only when both fail are eigenvalues taken."""
+    For a cooperative f, M = J.  Only when both fail are eigenvalues taken.
+    NaN when J is not finite, which makes the bound NaN or inf."""
     M = np.abs(J)
     diag = J.diagonal()
     bound = np.maximum.reduce(np.add.reduce(M, axis=1) + 2.0 * np.minimum(diag, 0.0))
     if bound <= 0.0:
         return bound
+    if not np.isfinite(J).all():
+        return np.nan
     M.flat[::len(M) + 1] = diag
     try:
         v = np.linalg.solve(M, np.full(len(M), -1.0))
@@ -290,24 +288,28 @@ def rodas3_step(x, F0, J, G1, Ft, h, f_eval):
 
 
 def _plan(cfg, d_of, t, t_end, eps_end):
-    """The policy's next steps from t, up to _BLOCK of them, and the
-    delayed times at their ends: without a rejection the step sequence
-    does not depend on the state."""
-    steps, ends = [], []
-    while t < t_end - eps_end and len(steps) < _BLOCK:
-        h = min(cfg.step(t), t_end - t)
-        t = t + h
+    """The policy's next steps from the last node at t, up to _BLOCK of
+    them, and the delayed times at their ends, for as long as those lie
+    before t: without a rejection the steps do not depend on the state,
+    and their lookups need only nodes already made."""
+    s, steps, ds = t, [], []
+    while s < t_end - eps_end and len(steps) < _BLOCK:
+        h = min(cfg.step(s), t_end - s)
+        d = float(d_of(s + h))
+        if not d < t:
+            break
+        s = s + h
         steps.append(h)
-        ends.append(t)
-    return steps, d_of(np.array(ends))
+        ds.append(d)
+    return np.array(steps), np.array(ds)
 
 
 def _serve(nodes, g_eval, hs, ds, G_prev, G0, h_prev, hists):
-    """g(x(d)), the forcing's slope, whether d took the history and whether
-    it lay at or past the last node, for each step of a block hs from the
-    last node with delayed times ds; G_prev, G0, h_prev, hists describe the
-    last two nodes: their forcing, the step between them, history flags."""
-    xd, hist, ahead = nodes.lookup(ds)
+    """g(x(d)), the forcing's slope and whether d took the history, for
+    each step of a block hs from the last node with delayed times ds
+    before it; G_prev, G0, h_prev, hists describe the last two nodes:
+    their forcing, the step between them, history flags."""
+    xd, hist = _lookup(*(a[:nodes.N] for a in (nodes.ts, nodes.xs, nodes.fs)), ds, nodes.history)
     G = g_eval(np.maximum(xd, 0.0))
     Gs = np.concatenate((G_prev[None], G0[None], G))
     dGs = Gs[1:] - Gs[:-1]
@@ -319,7 +321,7 @@ def _serve(nodes, g_eval, hs, ds, G_prev, G0, h_prev, hists):
     # may have a kink where d(t) leaves the history
     kink = np.concatenate((hists, hist))[:-2, None]
     Ft = np.where(kink, dGs[1:] / h, (dGs[1:] / r + dGs[:-1] * r) / (h + hp))
-    return deque(zip(G, Ft, hist, [ahead] * len(hs)))
+    return deque(zip(G, Ft, hist))
 
 
 def _serve_one(nodes, g_eval, h, d, G_prev, G0, h_prev, kink):
@@ -395,23 +397,22 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
     # the step between them, unused while the slope takes the history's kink
     G_prev, hists, h_prev = G0, (True, True), 1.0
     flagged = False
-    # the policy's planned steps ph, the delayed times pd at their ends, the
-    # next one's index i, and the forcing served for the next steps
-    ph, pd, i = [], None, 0
+    # the forcing served for the policy's next steps, from one block lookup
     served = deque()
     # steps left that start at the stable scale, and how many the next
     # step cut to it sets: twice as many each time the policy's step
     # between them was cut again
     carry, span = 0, 1
-    # the error norm of the last accepted step when it was lengthened, else
-    # a lower bound on it, and the estimate u4 and the state's componentwise
-    # scale over that step, which give the norm itself
+    # the error norm of the last accepted step when it was lengthened, inf
+    # when it landed on a breakpoint, else a lower bound on it, and the
+    # estimate u4 and the state's componentwise scale over that step, which
+    # give the norm itself
     err, exact, u4, scale = np.inf, True, None, None
     breaks = _Breakpoints(delay, t)
     lengthened = 0
 
     while t < t_end - eps_end:
-        h = h_pol = ph[i] if i < len(ph) else min(cfg.step(t), t_end - t)
+        h = h_pol = min(cfg.step(t), t_end - t)
         land = None
         # the error norm is taken only when its lower bound lets the
         # estimate lengthen the policy's step
@@ -422,10 +423,11 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
         longer = h > h_pol
         if h != h_pol:
             # a lengthened step, or one cut to land on a breakpoint, leaves the plan
-            ph, i = [], 0
             served.clear()
-        elif i >= len(ph) and not carry:
-            (ph, pd), i = _plan(cfg, delay.d, t, t_end, eps_end), 0
+        elif not served and not carry:
+            hs, ds = _plan(cfg, delay.d, t, t_end, eps_end)
+            if len(hs) > 1:
+                served = _serve(nodes, g_eval, hs, ds, G_prev, G0, h_prev, hists)
         grow = _growth(J)
         h_stable = None
         carried, cut = carry > 0, False
@@ -439,21 +441,11 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
         while True:
             coarse = False
             if grow * h < _POLE:
-                m = 0
-                if not served and i < len(ph):
-                    # the planned steps whose delayed times lie behind the
-                    # last node need only nodes already made: one block
-                    ok = pd[i:len(ph)] < t
-                    m = len(ok) if ok.all() else int(ok.argmin())
-                    if m > 1:
-                        served = _serve(nodes, g_eval, np.array(ph[i:i + m]), pd[i:i + m],
-                                        G_prev, G0, h_prev, hists)
                 if served:
-                    G1, Ft, hist1, ahead = served.popleft()
+                    # a block's delayed times lie before the last node
+                    (G1, Ft, hist1), ahead = served.popleft(), False
                 else:
-                    # a step off the plan, or a planned one alone behind the last node
-                    d = pd[i] if m else float(delay.d(t + h))
-                    G1, Ft, hist1, ahead = _serve_one(nodes, g_eval, h, d,
+                    G1, Ft, hist1, ahead = _serve_one(nodes, g_eval, h, float(delay.d(t + h)),
                                                       G_prev, G0, h_prev, hists[0])
                 x_new, u4_new = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
                 lo = np.minimum.reduce(x_new)
@@ -477,8 +469,10 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                         F_new += G1
                         if np.logical_and.reduce(np.isfinite(F_new)):
                             break
+            elif np.isnan(grow):
+                raise SimulationError("the Jacobian of f at t=%g is not finite" % t)
             # a rejection leaves the plan and the breakpoint
-            ph, i, land = [], 0, None
+            land = None
             served.clear()
             if longer:
                 # a lengthened step is retried shorter, down to the policy's
@@ -505,11 +499,13 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                     "no step of at least %g keeps the state %s at t=%g "
                     "positive, finite and accurate" % (h_floor, x, t)
                 )
-        i += 1
         lengthened += longer
         t = t + h if land is None else land
         x, F0, J = x_new, F_new, J_new
-        err, exact, u4, scale = err_new, longer, u4_new, scale_new
+        # the norm of a step that ended on a breakpoint says nothing of the
+        # step after it
+        err, exact, u4, scale = ((err_new, longer, u4_new, scale_new) if land is None
+                                 else (np.inf, True, None, None))
         flagged = flagged or ahead
         G_prev, G0, h_prev = G0, G1, h
         hists = (hists[1], hist1)
@@ -573,7 +569,7 @@ def fit_rate(traj: Trajectory, mu: MuFunction, window=0.5):
     mask = (traj.ts >= cut) & np.all(traj.xs > 1e-15, axis=1)
     if mask.sum() < 10:
         raise SimulationError("fewer than 10 usable nodes in the fit window")
-    lnmu = np.log(np.asarray(mu.value(traj.ts[mask])))
+    lnmu = np.asarray(mu.log_value(traj.ts[mask]))
     slopes = np.empty(traj.n)
     intercepts = np.empty(traj.n)
     for j in range(traj.n):

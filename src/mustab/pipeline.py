@@ -262,6 +262,8 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
     p_f = p_g = None
     hom_ok = False
     if "check" in stages or "transform" in stages:
+        if doc.f.is_zero():
+            raise DocumentError("f: the zero map has no homogeneity degree")
         structure = StructureReport()
         structure.cooperative = check_cooperative(doc.f, rng=rng)
         structure.nondecreasing = check_nondecreasing(doc.g, rng=rng)
@@ -380,7 +382,7 @@ def emit_outputs(report: RunReport, traj, out_dir, mu=None):
         if mu is not None:
             ppath = os.path.join(out_dir, "rateplot.csv")
             mask = np.all(traj.xs > 0.0, axis=1)
-            lnmu = np.log(np.asarray(mu.value(traj.ts[mask])))
+            lnmu = np.asarray(mu.log_value(traj.ts[mask]))
             cols = ["lnmu_t"] + ["ln_x%d" % (j + 1) for j in range(traj.n)]
             write_csv(ppath, cols, [lnmu, *np.log(traj.xs[mask]).T])
             paths.append(ppath)

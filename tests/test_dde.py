@@ -322,6 +322,17 @@ class TestLengthen:
         for k in (2, 5, 10):
             assert traj.sample(float(k))[0] == pytest.approx(2.0 ** -k, rel=1e-6)
 
+    def test_step_after_a_landing_is_not_rejected(self, monkeypatch):
+        # the norm of the smooth interval before a breakpoint would lengthen
+        # the step after it into the layer there, to be halved again and again
+        trials = []
+        step = dde.rodas3_step
+        monkeypatch.setattr(dde, "rodas3_step", lambda *a: trials.append(1) or step(*a))
+        f, g = scalar(-1e4, 1.0), scalar(5e3, 1.0)
+        traj = simulate(f, g, BoundedDelay(1.0), HistorySpec(np.ones(1)),
+                        SimConfig(t_start=0.0, t_end=10.0))
+        assert len(trials) <= len(traj.ts) - 1 + 10
+
     @pytest.mark.parametrize("delay, t_start", [(BoundedDelay(1.0), 1.0),
                                                 (LogFractionDelay(), np.e)],
                              ids=["bounded", "logfraction"])
@@ -449,10 +460,13 @@ class TestLookupOne:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_row_of_the_block_lookup(self, case):
         nodes, d = case
-        xs, hists, ahead = nodes.lookup(np.array([d]))
-        x, hist, ahead_one = nodes.lookup_one(d)
+        N = nodes.N
+        xs, hists = dde._lookup(nodes.ts[:N], nodes.xs[:N], nodes.fs[:N], np.array([d]),
+                                nodes.history)
+        x, hist, ahead = nodes.lookup_one(d)
         assert np.array_equal(x, xs[0])
-        assert (hist, ahead_one) == (hists[0], ahead)
+        assert hist == hists[0]
+        assert ahead == (not hist and d >= nodes.ts[N - 1])
 
     def test_no_one_row_block(self, monkeypatch):
         # the section-5 system under logfraction: nearly every step is

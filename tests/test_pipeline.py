@@ -448,6 +448,61 @@ class TestCli:
         err = self.error_line(tmp_path, capsys, "all", json.dumps(obj))
         assert err.startswith("error: %s: " % field)
 
+    def test_zero_f_is_named(self, tmp_path, capsys):
+        obj = json.loads(paper_text())
+        obj["f"] = [[], []]
+        err = self.error_line(tmp_path, capsys, "all", json.dumps(obj))
+        assert err.startswith("error: f: ")
+
+    def test_nonfinite_jacobian_exits_two(self, tmp_path, capsys):
+        # f itself is finite at the history, -1e308 + 8, but J[0, 0] = -inf:
+        # the Jacobian overflows and Gershgorin's bound takes inf - inf
+        obj = json.loads(paper_text())
+        obj["f"][0][0]["c"] = -1e308
+        with pytest.warns(RuntimeWarning):
+            err = self.error_line(tmp_path, capsys, "all", json.dumps(obj))
+        assert "Jacobian" in err and "t=2.71828" in err
+
+    def test_overflowing_gauge_fits_its_log(self, tmp_path, capsys):
+        # mu = e^t overflows at t = 1e3, ln mu = t does not: the fit and
+        # the rate plot take the latter; the monitor still takes mu itself
+        obj = json.loads(paper_text())
+        obj["mu"] = {"family": "exp", "eps": 1}
+        obj["sim"]["t_end"] = 1e3
+        doc_path = tmp_path / "sys.json"
+        doc_path.write_text(json.dumps(obj))
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            code, out = self.run_cli(tmp_path, "all", "--input", str(doc_path))
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        with open(os.path.join(out, "report.json")) as fh:
+            assert np.isfinite(json.load(fh)["simulation"]["slopes"]).all()
+
+    def run_report(self, tmp_path, obj):
+        doc_path = tmp_path / "sys.json"
+        doc_path.write_text(json.dumps(obj))
+        code, out = self.run_cli(tmp_path, "check", "transform", "criterion",
+                                 "--input", str(doc_path))
+        with open(os.path.join(out, "report.json")) as fh:
+            return code, json.load(fh)
+
+    def test_f_not_homogeneous_skips_the_transform(self, tmp_path):
+        obj = json.loads(paper_text())
+        obj["f"][0][1]["e"] = [1.5, 1]
+        code, report = self.run_report(tmp_path, obj)
+        assert code == 1
+        assert report["stage_pass"] == {"check": False, "transform": False,
+                                        "criterion": False}
+        assert "transform skipped: f is not r-homogeneous" in report["notes"]
+
+    def test_g_not_homogeneous_is_inconclusive(self, tmp_path):
+        obj = json.loads(paper_text())
+        obj["g"] = [[{"c": 1, "e": [2, 1]}], [{"c": 2, "e": [0, 3]}]]
+        code, report = self.run_report(tmp_path, obj)
+        assert code == 1
+        assert report["criterion"]["verdict"] == "INCONCLUSIVE"
+        assert "criterion evaluated without full structure certificates" in report["notes"]
+
     def test_delay_and_gauge_built_once(self, tmp_path, monkeypatch):
         # parse_system builds the delay and the gauge to validate them; the
         # stages and the CLI use those objects, never building them again
