@@ -75,10 +75,12 @@ def _analytic_L(mu, delay):
             # mu(t)/mu(d(t)) grows like (ln t)^beta, t^((1-alpha) beta) or
             # faster, beyond the reach of a numeric fit
             return np.inf
-        if isinstance(delay, LogFractionDelay) and isinstance(mu, LogMu):
+        if isinstance(mu, LogLogMu):
+            # ln ln d(t) ~ ln ln t for d(t) = t/ln t and for t^alpha
             return 1.0
-        if isinstance(delay, PowerLagDelay) and isinstance(mu, LogLogMu):
-            return 1.0
+        if isinstance(mu, LogMu):
+            # ln d(t) is ln t - ln ln t, or alpha ln t
+            return 1.0 if isinstance(delay, LogFractionDelay) else 1.0 / delay.alpha
     return None
 
 

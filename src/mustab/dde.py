@@ -25,31 +25,37 @@ cross breakpoints.
 
 There are three parts.  rodas3_step makes one step from given forcing
 values.  _Nodes keeps the (state, right-hand side) nodes in arrays that
-double when full, with two cubic Hermite lookups of the same arithmetic:
-_lookup, vectorised over an array of delayed times, and _lookup_one, for
-one time, which also serves Trajectory.sample.  simulate is the driver:
-the step rule above, rejections (a step that leaves the orthant, whose
-estimate is too large, or that takes a growing mode to the scheme's pole
-is halved, never clamped; below h_min that is a SimulationError) and the
-stable scale carried past a stiff decay.  The policy's steps do not
-depend on the state, so when the policy binds, the step is not carried
-and no forcing is left to serve, _plan takes its next steps for as long
-as their delayed times lie before the last node: their lookups need only
-nodes already made (the method-of-steps observation), and a plan of two
-or more is served as one block by _lookup.  Every other step takes one
-_lookup_one.  Everything runs in the original x coordinates; the z
+double when full, and the cubic Hermite coefficients of each interval
+between them (Bellen & Zennaro 2003, section 4.1), made in one vectorised
+pass whenever a lookup reads past those already made: the delayed times
+of a long run lie far behind the last node, so one pass serves many
+steps.  Its one lookup, for one delayed time, takes the history, bisects
+for the interval and evaluates that interval's cubic; Trajectory.sample
+evaluates the same coefficients.  simulate is the driver: the step rule
+above, rejections (a step that leaves the orthant, whose estimate is too
+large, or that takes a growing mode to the scheme's pole is halved, never
+clamped; below h_min that is a SimulationError) and the stable scale
+carried past a stiff decay.  The pole test takes Gershgorin's bound on
+the growth rate first, the largest row sum of J when the sign pattern of
+f makes J Metzler (decided once per run), and the growth rate itself
+(_growth) only when the bound reaches the pole or a rejection needs the
+stable scale: the bound is never below the growth rate, so the test
+decides as the growth rate would.  A Jacobian that is not finite is a
+SimulationError.  Everything runs in the original x coordinates; the z
 quantities are derived from the trajectory afterwards.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fields import DilationMap, PolyMap, fast_evaluator, field_and_jacobian, jacobian
+from .fields import (DilationMap, PolyMap, cooperative_signs, fast_evaluator,
+                     field_and_jacobian, jacobian)
 from .rates import DelayFunction, MuFunction
 
 # RODAS3 (Sandu et al., Atmos. Environ. 31, 1997) in the transformed form of
@@ -86,8 +92,6 @@ _X_FLOOR = 1e-300
 _H_CAP = 0.1
 # the identity matrix of each size, made once and shared: never written
 _identity = lru_cache()(np.eye)
-# the most policy steps in one plan, whose lookups are served as one block
-_BLOCK = 256
 # the tolerances of the error norm err that may lengthen the policy's
 # step, and the most a step may grow over the last one
 _RTOL = 1e-7
@@ -131,51 +135,22 @@ class SimConfig:
         return max(self.h_min, min(self.rho * t, max(_H_CAP * t, 0.0)))
 
 
-def _lookup(ts, xs, fs, d, history):
-    """The states at an array of times d, as rows, from the nodes ts, xs, fs:
-    the constant history at and before the first node; with one node, its
-    linear extension; else cubic Hermite on the node interval around each
-    time, the last interval extended past the last node.  Also which times
-    took the history."""
-    dc = d[:, None]
-    if len(ts) == 1:
-        x = xs[0] + (dc - ts[0]) * fs[0]
-    else:
-        # node k - 1 starts each time's interval; rows at or before the
-        # first node are the history's, set below
-        k = ts[1:-1].searchsorted(d, side="right") + 1
-        j = k - 1
-        t0 = ts[j]
-        h = (ts[k] - t0)[:, None]
-        s = (dc - t0[:, None]) / h
-        # x0 + s h f0 + s^2 c2 + s^3 c3 with the end values and slopes
-        # matched: c2 + c3 = dx - h f0 and 2 c2 + 3 c3 = h f1 - h f0
-        x0, hf0 = xs[j], h * fs[j]
-        dx = xs[k] - x0
-        c3 = hf0 + h * fs[k] - 2.0 * dx
-        x = x0 + s * (hf0 + s * (dx - hf0 - c3 + s * c3))
-    hist = d <= ts[0]
-    return np.where(hist[:, None], history, x), hist
+def _cubics(ts, xs, fs):
+    """The cubic Hermite coefficients (x0, h f0, c2, c3) of each interval
+    between consecutive nodes ts, xs, fs, as rows (m, 4, n): on an interval
+    of length h, x = x0 + s (h f0 + s (c2 + s c3)) at the fraction s of it,
+    with the end values and slopes matched: c2 + c3 = dx - h f0 and
+    2 c2 + 3 c3 = h f1 - h f0."""
+    h = (ts[1:] - ts[:-1])[:, None]
+    x0, hf0 = xs[:-1], h * fs[:-1]
+    dx = xs[1:] - x0
+    c3 = hf0 + h * fs[1:] - 2.0 * dx
+    return np.stack((x0, hf0, dx - hf0 - c3, c3), axis=1)
 
 
-def _lookup_one(ts, xs, fs, N, d, history):
-    """One row of _lookup, for one time d from the first N nodes, with the
-    same arithmetic on (n,) vectors: the state, whether it took the history,
-    and whether d lies at or past the last node without taking it."""
-    t0 = ts[0]
-    if d <= t0:
-        return history, True, False
-    if N == 1:
-        return xs[0] + (d - t0) * fs[0], False, True
-    k = ts[1:N - 1].searchsorted(d, side="right") + 1
-    j = k - 1
-    t0 = ts[j]
-    h = ts[k] - t0
-    s = (d - t0) / h
-    x0, hf0 = xs[j], h * fs[j]
-    dx = xs[k] - x0
-    c3 = hf0 + h * fs[k] - 2.0 * dx
-    return x0 + s * (hf0 + s * (dx - hf0 - c3 + s * c3)), False, bool(d >= ts[N - 1])
+def _cubic(c, s):
+    """The cubic with coefficient rows c at s."""
+    return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
 
 
 class Trajectory:
@@ -199,49 +174,99 @@ class Trajectory:
         return self.xs.shape[1]
 
     def sample(self, t):
-        """State at any time within [first node, last node], exact at nodes."""
-        if t < self.ts[0] or t > self.ts[-1]:
+        """State at any time within [first node, last node], exact at nodes
+        but the last, from the cubic of the interval around t."""
+        ts = self.ts
+        if t < ts[0] or t > ts[-1]:
             raise SimulationError("sample time outside trajectory range")
-        return np.array(_lookup_one(self.ts, self.xs, self.fs, len(self.ts), t, self.xs[0])[0])
+        if t == ts[0]:
+            return self.xs[0].copy()
+        k = ts[1:-1].searchsorted(t, side="right") + 1
+        t0 = ts[k - 1]
+        c = _cubics(ts[k - 1:k + 1], self.xs[k - 1:k + 1], self.fs[k - 1:k + 1])[0]
+        return _cubic(c, (t - t0) / (ts[k] - t0))
 
 
 class _Nodes:
     """The integrator's nodes (time, state, right-hand side) in arrays that
-    double when full, with the history before the first."""
+    double when full, with the history before the first, and the cubic
+    coefficients of the intervals between them, made up to the last node
+    whenever a lookup reads past those already made."""
 
     def __init__(self, t, x, F, history):
         self.ts, self.xs, self.fs = np.array([t]), np.array([x]), np.array([F])
+        # the times again, as floats, for bisect
+        self.times = [t]
         self.N = 1
+        self.cubics = np.empty((1, 4, len(x)))
+        self.made = 0
         self.history = history
 
     def append(self, t, x, F):
         if self.N == len(self.ts):
-            self.ts, self.xs, self.fs = (np.concatenate((a, np.empty_like(a)))
-                                         for a in (self.ts, self.xs, self.fs))
+            self.ts, self.xs, self.fs, self.cubics = (
+                np.concatenate((a, np.empty_like(a)))
+                for a in (self.ts, self.xs, self.fs, self.cubics))
         self.ts[self.N], self.xs[self.N], self.fs[self.N] = t, x, F
+        self.times.append(t)
         self.N += 1
 
     def lookup_one(self, d):
-        return _lookup_one(self.ts, self.xs, self.fs, self.N, d, self.history)
+        """The state at one time d: the history at and before the first
+        node; with one node, its linear extension; else the cubic of the
+        node interval around d, the last interval extended past the last
+        node.  Also whether it took the history, and whether d lies at or
+        past the last node without taking it."""
+        times = self.times
+        if d <= times[0]:
+            return self.history, True, False
+        N = self.N
+        if N == 1:
+            return self.xs[0] + (d - times[0]) * self.fs[0], False, True
+        # node k - 1 starts d's interval
+        k = bisect_right(times, d, 1, N - 1)
+        if k > self.made:
+            self._make()
+        t0 = times[k - 1]
+        return _cubic(self.cubics[k - 1], (d - t0) / (times[k] - t0)), False, d >= times[N - 1]
+
+    def _make(self):
+        """The coefficients of every interval up to the last node, in one
+        vectorised pass over those not yet made."""
+        M, N = self.made, self.N
+        self.cubics[M:N - 1] = _cubics(self.ts[M:N], self.xs[M:N], self.fs[M:N])
+        self.made = N - 1
+
+
+def _growth_bound(J, metzler):
+    """Gershgorin's bound on the growth rate of J's modes, its spectral
+    abscissa s(J): the largest row sum of J when J is Metzler, else of J
+    with its off-diagonal entries made absolute.  None when J is not
+    finite."""
+    if metzler:
+        rows = np.add.reduce(J, axis=1)
+    else:
+        rows = np.add.reduce(np.abs(J), axis=1) + 2.0 * np.minimum(J.diagonal(), 0.0)
+    # a non-finite J gives a non-finite row, but so may a finite J's overflow
+    if not math.isfinite(np.add.reduce(rows)) and not np.isfinite(J).all():
+        return None
+    return np.maximum.reduce(rows)
 
 
 def _growth(J):
-    """The growth rate of J's modes: a bound on the spectral abscissa s(J)
-    when the bound is at most 0 (no mode grows), else s(J) itself.  M is J
-    with its off-diagonal entries made absolute, so M is Metzler and
-    s(J) <= s(M).  First Gershgorin's bound, the largest row sum of M; when
-    it is positive, an M-matrix certificate: s(M) <= max_i (M v)_i / v_i
-    for any v > 0 (Collatz-Wielandt), and the solution of M v = -1 is
-    positive exactly when M is Hurwitz (Berman & Plemmons 1994, ch. 6).
-    For a cooperative f, M = J.  Only when both fail are eigenvalues taken.
-    NaN when J is not finite, which makes the bound NaN or inf."""
+    """The growth rate of J's modes, for a finite J: a bound on s(J) when
+    the bound is at most 0 (no mode grows), else s(J) itself.  M is J with
+    its off-diagonal entries made absolute, so M is Metzler and s(J) <=
+    s(M).  First Gershgorin's bound, the largest row sum of M; when it is
+    positive, an M-matrix certificate: s(M) <= max_i (M v)_i / v_i for any
+    v > 0 (Collatz-Wielandt), and the solution of M v = -1 is positive
+    exactly when M is Hurwitz (Berman & Plemmons 1994, ch. 6).  For a
+    cooperative f, M = J.  Only when both fail are eigenvalues taken."""
     M = np.abs(J)
     diag = J.diagonal()
     bound = np.maximum.reduce(np.add.reduce(M, axis=1) + 2.0 * np.minimum(diag, 0.0))
     if bound <= 0.0:
         return bound
-    if not np.isfinite(J).all():
-        return np.nan
     M.flat[::len(M) + 1] = diag
     try:
         v = np.linalg.solve(M, np.full(len(M), -1.0))
@@ -279,62 +304,32 @@ def rodas3_step(x, F0, J, G1, Ft, h, f_eval):
     Winv = np.linalg.inv(_identity(len(x)) / (_GAMMA * h) - J)
     u1 = Winv @ (F0 + (0.5 * h) * Ft)
     u2 = Winv @ (F0 + (4.0 / h) * u1 + (1.5 * h) * Ft)
-    u12 = u1 - u2
+    # stages 3 and 4 share G(t + h) + (u1 - u2)/h
+    q = G1 + (u1 - u2) / h
     y3 = x + 2.0 * u1
-    u3 = Winv @ (f_eval(np.maximum(y3, 0.0)) + G1 + u12 / h)
+    u3 = Winv @ (f_eval(np.maximum(y3, 0.0)) + q)
     y4 = y3 + u3
-    u4 = Winv @ (f_eval(np.maximum(y4, 0.0)) + G1 + (u12 - (8.0 / 3.0) * u3) / h)
+    u4 = Winv @ (f_eval(np.maximum(y4, 0.0)) + q - (8.0 / 3.0 / h) * u3)
     return y4 + u4, u4
 
 
-def _plan(cfg, d_of, t, t_end, eps_end):
-    """The policy's next steps from the last node at t, up to _BLOCK of
-    them, and the delayed times at their ends, for as long as those lie
-    before t: without a rejection the steps do not depend on the state,
-    and their lookups need only nodes already made."""
-    s, steps, ds = t, [], []
-    while s < t_end - eps_end and len(steps) < _BLOCK:
-        h = min(cfg.step(s), t_end - s)
-        d = float(d_of(s + h))
-        if not d < t:
-            break
-        s = s + h
-        steps.append(h)
-        ds.append(d)
-    return np.array(steps), np.array(ds)
-
-
-def _serve(nodes, g_eval, hs, ds, G_prev, G0, h_prev, hists):
-    """g(x(d)), the forcing's slope and whether d took the history, for
-    each step of a block hs from the last node with delayed times ds
-    before it; G_prev, G0, h_prev, hists describe the last two nodes:
-    their forcing, the step between them, history flags."""
-    xd, hist = _lookup(*(a[:nodes.N] for a in (nodes.ts, nodes.xs, nodes.fs)), ds, nodes.history)
-    G = g_eval(np.maximum(xd, 0.0))
-    Gs = np.concatenate((G_prev[None], G0[None], G))
-    dGs = Gs[1:] - Gs[:-1]
-    h = hs[:, None]
-    hp = np.concatenate(([h_prev], hs[:-1]))[:, None]
-    r = h / hp
-    # the slope at t of the parabola through the forcing at t - hp, t and
-    # t + h: second order, so the scheme keeps its order 3; but the forcing
-    # may have a kink where d(t) leaves the history
-    kink = np.concatenate((hists, hist))[:-2, None]
-    Ft = np.where(kink, dGs[1:] / h, (dGs[1:] / r + dGs[:-1] * r) / (h + hp))
-    return deque(zip(G, Ft, hist))
-
-
-def _serve_one(nodes, g_eval, h, d, G_prev, G0, h_prev, kink):
-    """_serve for one step h with delayed time d, from one lookup: g is
-    still evaluated on a row, which rounds as a block's row does, and the
-    slope takes the kink when the forcing at the last node but one took
-    the history."""
+def _serve_one(nodes, g_eval, h, d, G0, dG0, h_prev, kink):
+    """The forcing G1 = g(x(d)) at the end of a step h whose delayed time is
+    d, its slope at the step's start, G1 - G0, whether the lookup took the
+    history, and whether it read at or past the last node.  G0 is the
+    forcing at the last node, dG0 its rise from the node before, h_prev the
+    step between them, and kink whether the forcing there took the
+    history: the slope then takes the step alone, else the parabola through
+    the three."""
     xd, hist, ahead = nodes.lookup_one(d)
-    G1 = g_eval(np.maximum(xd, 0.0)[None])[0]
+    G1 = g_eval(np.maximum(xd, 0.0))
+    dG = G1 - G0
     if kink:
-        return G1, (G1 - G0) / h, hist, ahead
-    r = h / h_prev
-    return G1, ((G1 - G0) / r + (G0 - G_prev) * r) / (h + h_prev), hist, ahead
+        return G1, dG / h, dG, hist, ahead
+    # the slope at t of the parabola through the forcing at t - h_prev, t
+    # and t + h: second order, so the scheme keeps its order 3
+    r, hh = h / h_prev, h + h_prev
+    return G1, dG * (1.0 / (r * hh)) + dG0 * (r / hh), dG, hist, ahead
 
 
 class _Breakpoints:
@@ -359,7 +354,7 @@ class _Breakpoints:
 
 def _err_norm(u4, scale):
     """The error norm of an estimate u4 over the state's componentwise scale."""
-    return np.maximum.reduce(np.abs(u4) / (_ATOL + _RTOL * scale))
+    return float(np.maximum.reduce(np.abs(u4) / (_ATOL + _RTOL * scale)))
 
 
 def _longer_step(h, err, h_pol, cap, t, breaks):
@@ -378,142 +373,140 @@ def _longer_step(h, err, h_pol, cap, t, breaks):
 def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
              history: HistorySpec, cfg: SimConfig) -> Trajectory:
     """Integrate the delayed system; see the module docstring for the scheme."""
-    t = float(cfg.t_start)
-    t_end = float(cfg.t_end)
-    eps_end = 1e-12 * max(1.0, t_end)
-    # one domain check for the whole horizon: every lookup below is at a
-    # time in [t_start, t_end]
-    delay.delayed_time(np.array([t, t_end]))
-    f_eval = fast_evaluator(f)
-    g_eval = fast_evaluator(g)
-    phi0 = np.asarray(history.value(t), dtype=float)
-    x = np.maximum(phi0, _X_FLOOR)
-    # d(t_start) <= t_start: the first forcing is the history's
-    G0 = g_eval(np.maximum(phi0, 0.0))
-    F0, J = _field_jacobian(f, f_eval, x, np.minimum.reduce(x))
-    F0 += G0
-    nodes = _Nodes(t, x, F0, phi0)
-    # the forcing at the last two nodes, whether each took the history, and
-    # the step between them, unused while the slope takes the history's kink
-    G_prev, hists, h_prev = G0, (True, True), 1.0
-    flagged = False
-    # the forcing served for the policy's next steps, from one block lookup
-    served = deque()
-    # steps left that start at the stable scale, and how many the next
-    # step cut to it sets: twice as many each time the policy's step
-    # between them was cut again
-    carry, span = 0, 1
-    # the error norm of the last accepted step when it was lengthened, inf
-    # when it landed on a breakpoint, else a lower bound on it, and the
-    # estimate u4 and the state's componentwise scale over that step, which
-    # give the norm itself
-    err, exact, u4, scale = np.inf, True, None, None
-    breaks = _Breakpoints(delay, t)
-    lengthened = 0
+    # an overflow or a non-finite value is a rejection or a SimulationError
+    # below, never a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = float(cfg.t_start)
+        t_end = float(cfg.t_end)
+        eps_end = 1e-12 * max(1.0, t_end)
+        # one domain check for the whole horizon: every lookup below is at a
+        # time in [t_start, t_end]
+        delay.delayed_time(np.array([t, t_end]))
+        f_eval = fast_evaluator(f)
+        g_eval = fast_evaluator(g)
+        metzler = cooperative_signs(f)
+        phi0 = np.asarray(history.value(t), dtype=float)
+        x = np.maximum(phi0, _X_FLOOR)
+        # d(t_start) <= t_start: the first forcing is the history's
+        G0 = g_eval(np.maximum(phi0, 0.0))
+        F0, J = _field_jacobian(f, f_eval, x, np.minimum.reduce(x))
+        F0 += G0
+        nodes = _Nodes(t, x, F0, phi0)
+        # the forcing's rise into the last node, whether the forcing at the
+        # last two nodes took the history, and the step between them: the
+        # first two unused while the slope takes the history's kink
+        dG0, hists, h_prev = 0.0 * G0, (True, True), 1.0
+        flagged = False
+        # steps left that start at the stable scale, and how many the next
+        # step cut to it sets: twice as many each time the policy's step
+        # between them was cut again
+        carry, span = 0, 1
+        # the error norm of the last accepted step when it was lengthened,
+        # inf when it landed on a breakpoint, else a lower bound on it, and
+        # the estimate u4 and the state's componentwise scale over that
+        # step, which give the norm itself
+        err, exact, u4, scale = math.inf, True, None, None
+        breaks = _Breakpoints(delay, t)
+        lengthened = 0
 
-    while t < t_end - eps_end:
-        h = h_pol = min(cfg.step(t), t_end - t)
-        land = None
-        # the error norm is taken only when its lower bound lets the
-        # estimate lengthen the policy's step
-        if not carry and _GROW * h_prev > h_pol and err < (0.9 * h_prev / h_pol) ** 3:
-            if not exact:
-                err = _err_norm(u4, scale)
-            h, land = _longer_step(h_prev, err, h_pol, min(_H_CAP * t, t_end - t), t, breaks)
-        longer = h > h_pol
-        if h != h_pol:
-            # a lengthened step, or one cut to land on a breakpoint, leaves the plan
-            served.clear()
-        elif not served and not carry:
-            hs, ds = _plan(cfg, delay.d, t, t_end, eps_end)
-            if len(hs) > 1:
-                served = _serve(nodes, g_eval, hs, ds, G_prev, G0, h_prev, hists)
-        grow = _growth(J)
-        h_stable = None
-        carried, cut = carry > 0, False
-        if carried:
-            # a stiff component has decayed: start where the stable-mode
-            # shrink below arrives after rejecting the policy's step
-            carry -= 1
-            h_stable = _stable_scale(J, grow)
-            if 2.0 * h_stable < 0.5 * h:
-                h = 2.0 * h_stable
-        while True:
-            coarse = False
-            if grow * h < _POLE:
-                if served:
-                    # a block's delayed times lie before the last node
-                    (G1, Ft, hist1), ahead = served.popleft(), False
-                else:
-                    G1, Ft, hist1, ahead = _serve_one(nodes, g_eval, h, float(delay.d(t + h)),
-                                                      G_prev, G0, h_prev, hists[0])
-                x_new, u4_new = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
-                lo = np.minimum.reduce(x_new)
-                # the orthant first: past it, x_new is its own absolute
-                # value, and its extremes serve the estimate and the floor
-                if lo >= 0.0:
-                    scale_new = np.maximum(x, x_new)
-                    if longer:
-                        err_new = _err_norm(u4_new, scale_new)
-                        accept = err_new <= 1.0
-                    else:
-                        est = np.maximum.reduce(np.abs(u4_new))
-                        top = np.maximum.reduce(scale_new)
-                        coarse = h > cfg.h_min and est / top > _EST_CUT
-                        accept = est / top <= _EST_REJECT and not coarse
-                        # scale_new <= top: a lower bound on the norm
-                        err_new = est / (_ATOL + _RTOL * top)
-                    if accept:
-                        x_new = np.maximum(x_new, _X_FLOOR)
-                        F_new, J_new = _field_jacobian(f, f_eval, x_new, max(lo, _X_FLOOR))
-                        F_new += G1
-                        if np.logical_and.reduce(np.isfinite(F_new)):
-                            break
-            elif np.isnan(grow):
-                raise SimulationError("the Jacobian of f at t=%g is not finite" % t)
-            # a rejection leaves the plan and the breakpoint
+        while t < t_end - eps_end:
+            h = h_pol = min(cfg.step(t), t_end - t)
             land = None
-            served.clear()
-            if longer:
-                # a lengthened step is retried shorter, down to the policy's
-                h = max(0.5 * h, h_pol)
-                longer = h > h_pol
-                continue
-            if coarse:
-                # an inaccurate policy step is halved, never below h_min
-                h = max(0.5 * h, cfg.h_min)
-                continue
-            if h_stable is None:
-                # with no growing mode, a rejected step is the scheme
-                # overshooting a stable mode, not a blow-up: the step may
-                # then shrink below h_min, down to the stable scale of J
+            # the error norm is taken only when its lower bound lets the
+            # estimate lengthen the policy's step
+            if not carry and _GROW * h_prev > h_pol and err < (0.9 * h_prev / h_pol) ** 3:
+                if not exact:
+                    err = _err_norm(u4, scale)
+                h, land = _longer_step(h_prev, err, h_pol, min(_H_CAP * t, t_end - t), t, breaks)
+            longer = h > h_pol
+            # the growth rate itself is taken only where its bound could bind
+            bound, grow = _growth_bound(J, metzler), None
+            if bound is None:
+                raise SimulationError("the Jacobian of f at t=%g is not finite" % t)
+            h_stable = None
+            carried, cut = carry > 0, False
+            if carried:
+                # a stiff component has decayed: start where the stable-mode
+                # shrink below arrives after rejecting the policy's step
+                carry -= 1
+                grow = _growth(J)
                 h_stable = _stable_scale(J, grow)
-            # halve, or go straight to twice the stable scale from far above
-            if 2.0 * h_stable < 0.5 * h:
-                h, cut = 2.0 * h_stable, True
-            else:
-                h = 0.5 * h
-            h_floor = min(cfg.h_min, h_stable)
-            if h < h_floor or t + h == t:
-                raise SimulationError(
-                    "no step of at least %g keeps the state %s at t=%g "
-                    "positive, finite and accurate" % (h_floor, x, t)
-                )
-        lengthened += longer
-        t = t + h if land is None else land
-        x, F0, J = x_new, F_new, J_new
-        # the norm of a step that ended on a breakpoint says nothing of the
-        # step after it
-        err, exact, u4, scale = ((err_new, longer, u4_new, scale_new) if land is None
-                                 else (np.inf, True, None, None))
-        flagged = flagged or ahead
-        G_prev, G0, h_prev = G0, G1, h
-        hists = (hists[1], hist1)
-        if cut:
-            carry, span = span, 2 * span
-        elif not carried:
-            span = 1
-        nodes.append(t, x, F0)
+                if 2.0 * h_stable < 0.5 * h:
+                    h = 2.0 * h_stable
+            while True:
+                coarse = False
+                if grow is None and not bound * h < _POLE:
+                    grow = _growth(J)
+                if bound * h < _POLE or grow * h < _POLE:
+                    G1, Ft, dG1, hist1, ahead = _serve_one(
+                        nodes, g_eval, h, float(delay.d(t + h)), G0, dG0, h_prev, hists[0])
+                    x_new, u4_new = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
+                    lo = float(np.minimum.reduce(x_new))
+                    # the orthant first: past it, x_new is its own absolute
+                    # value, and its extremes serve the estimate and the floor
+                    if lo >= 0.0:
+                        scale_new = np.maximum(x, x_new)
+                        if longer:
+                            err_new = _err_norm(u4_new, scale_new)
+                            accept = err_new <= 1.0
+                        else:
+                            est = float(np.maximum.reduce(np.abs(u4_new)))
+                            top = float(np.maximum.reduce(scale_new))
+                            coarse = h > cfg.h_min and est / top > _EST_CUT
+                            accept = est / top <= _EST_REJECT and not coarse
+                            # scale_new <= top: a lower bound on the norm
+                            err_new = est / (_ATOL + _RTOL * top)
+                        if accept:
+                            if lo < _X_FLOOR:
+                                x_new = np.maximum(x_new, _X_FLOOR)
+                            F_new, J_new = _field_jacobian(f, f_eval, x_new, max(lo, _X_FLOOR))
+                            F_new += G1
+                            if np.logical_and.reduce(np.isfinite(F_new)):
+                                break
+                # a rejection leaves the breakpoint
+                land = None
+                if longer:
+                    # a lengthened step is retried shorter, down to the policy's
+                    h = max(0.5 * h, h_pol)
+                    longer = h > h_pol
+                    continue
+                if coarse:
+                    # an inaccurate policy step is halved, never below h_min
+                    h = max(0.5 * h, cfg.h_min)
+                    continue
+                if h_stable is None:
+                    # with no growing mode, a rejected step is the scheme
+                    # overshooting a stable mode, not a blow-up: the step
+                    # may then shrink below h_min, down to the stable scale
+                    if grow is None:
+                        grow = _growth(J)
+                    h_stable = _stable_scale(J, grow)
+                # halve, or go straight to twice the stable scale from far above
+                if 2.0 * h_stable < 0.5 * h:
+                    h, cut = 2.0 * h_stable, True
+                else:
+                    h = 0.5 * h
+                h_floor = min(cfg.h_min, h_stable)
+                if h < h_floor or t + h == t:
+                    raise SimulationError(
+                        "no step of at least %g keeps the state %s at t=%g "
+                        "positive, finite and accurate" % (h_floor, x, t)
+                    )
+            lengthened += longer
+            t = t + h if land is None else land
+            x, F0, J = x_new, F_new, J_new
+            # the norm of a step that ended on a breakpoint says nothing of
+            # the step after it
+            err, exact, u4, scale = ((err_new, longer, u4_new, scale_new) if land is None
+                                     else (math.inf, True, None, None))
+            flagged = flagged or ahead
+            G0, dG0, h_prev = G1, dG1, h
+            hists = (hists[1], hist1)
+            if cut:
+                carry, span = span, 2 * span
+            elif not carried:
+                span = 1
+            nodes.append(t, x, F0)
 
     return Trajectory(*(a[:nodes.N].copy() for a in (nodes.ts, nodes.xs, nodes.fs)),
                       flagged, lengthened)
@@ -546,16 +539,20 @@ def lyapunov_monitor(traj: Trajectory, mu: MuFunction, xi, r: DilationMap,
     max(1, sup V) stays constant past some burn-in time.  burn_in is the
     index of that time's node (criterion.burn_in_node finds it), or None
     when there is none, and then the growth is taken from the first node.
+    V is tracked as ln V = ln mu(t) + r_star max_i ln(z_i/xi_i), so a gauge
+    that overflows, such as e^t, leaves the growth ratio exact or inf.
     """
     xi = np.asarray(xi, dtype=float)
     rv = np.asarray(r.r)
     r_star = float(r_star)
-    z = traj.xs ** (1.0 / rv)
-    V = np.asarray(mu.value(traj.ts)) * np.max((z / xi) ** r_star, axis=1)
-    V_sup = np.maximum(1.0, np.maximum.accumulate(V))
-    found = burn_in is not None
-    burn_idx = burn_in if found else 0
-    growth = float(V_sup[-1] / V_sup[burn_idx])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lnV = np.asarray(mu.log_value(traj.ts)) + r_star * np.max(
+            np.log(traj.xs) / rv - np.log(xi), axis=1)
+        ln_sup = np.maximum(0.0, np.maximum.accumulate(lnV))
+        found = burn_in is not None
+        burn_idx = burn_in if found else 0
+        growth = float(np.exp(ln_sup[-1] - ln_sup[burn_idx]))
+        V, V_sup = np.exp(lnV), np.exp(ln_sup)
     return MonitorReport(traj.ts, V, V_sup, float(traj.ts[burn_idx]), growth, found)
 
 

@@ -222,15 +222,21 @@ class StructureReport:
         }
 
 
+def cooperative_signs(F: PolyMap) -> bool:
+    """Whether F's sign pattern makes its Jacobian Metzler on the open
+    positive orthant: every monomial of component i that depends on x_j
+    (j != i) has nonnegative coefficient."""
+    cross = np.any((F.E > 0) & (F.K == 0), axis=1)
+    return not np.any((F.C < 0) & cross)
+
+
 def check_cooperative(F: PolyMap, rng=None) -> Verdict:
     """Off-diagonal Jacobian nonnegativity on the open positive orthant.
 
-    Symbolic sufficient rule: every monomial of component i that depends on
-    x_j (j != i) has nonnegative coefficient.  Mixed-sign cases fall back to
-    sampled Jacobians and can only be refuted, never certified.
+    Symbolic sufficient rule: cooperative_signs.  Mixed-sign cases fall
+    back to sampled Jacobians and can only be refuted, never certified.
     """
-    cross = np.any((F.E > 0) & (F.K == 0), axis=1)
-    if not np.any((F.C < 0) & cross):
+    if cooperative_signs(F):
         return Verdict(CERTIFIED)
     rng = rng or np.random.default_rng(0)
     for x in _sample_points(rng, F.n):

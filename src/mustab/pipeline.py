@@ -360,6 +360,18 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
     return report, traj, code
 
 
+def _strict(obj):
+    """obj with every non-finite float written as "inf", "-inf" or "nan",
+    which RFC 8259 JSON can hold."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    return obj
+
+
 def emit_outputs(report: RunReport, traj, out_dir, mu=None):
     """Write report.json, trajectory.csv and rateplot.csv into out_dir.
 
@@ -371,7 +383,7 @@ def emit_outputs(report: RunReport, traj, out_dir, mu=None):
     rpath = os.path.join(out_dir, "report.json")
     try:
         with open(rpath, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(_strict(report.to_dict()), fh, indent=2, allow_nan=False)
     except OSError as e:
         raise RuntimeError("cannot write %s: %s" % (rpath, e)) from None
     paths.append(rpath)

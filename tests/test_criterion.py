@@ -81,6 +81,19 @@ class TestAnalyticLimits:
             assert pair.method == ANALYTIC
             assert pair.L == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.4, 0.5, 0.9])
+    def test_log_gauge_under_powerlag_delay(self, alpha):
+        # ln(1 + t) / ln(1 + t^alpha) -> 1/alpha, which the estimator nears
+        pair = compute_limits(LogMu(), PowerLagDelay(alpha), 0.5, 1.0)
+        assert (pair.method, pair.L, pair.D) == (ANALYTIC, 1.0 / alpha, 0.0)
+        assert estimate_L(LogMu(), PowerLagDelay(alpha))[0] == pytest.approx(1.0 / alpha, rel=0.01)
+
+    def test_loglog_gauge_under_logfraction_delay(self):
+        # ln ln(t + 3) / ln ln(t/ln t + 3) -> 1
+        pair = compute_limits(LogLogMu(), LogFractionDelay(), 0.5, 1.0)
+        assert (pair.method, pair.L, pair.D) == (ANALYTIC, 1.0, 0.0)
+        assert estimate_L(LogLogMu(), LogFractionDelay())[0] == pytest.approx(1.0, rel=0.01)
+
     def test_exp_with_proportional_diverges(self):
         pair = compute_limits(ExponentialMu(0.1), ProportionalDelay(0.5), 0.0, 1.0)
         assert np.isinf(pair.L)

@@ -369,59 +369,6 @@ def paper_system():
     return f, g
 
 
-class TestLookupBlock:
-    """Lookups behind the last node are served in blocks; with the block
-    size at 0 every lookup takes the per-step path."""
-
-    CASES = {
-        "bounded": (BoundedDelay(1.0), [1.0, 4.0], 1.0),
-        "proportional": (ProportionalDelay(0.5), [1.0, 4.0], 1.0),
-        "powerlag": (PowerLagDelay(0.6), [1.0, 4.0], 1.0),
-        "logfraction": (LogFractionDelay(), [1.0, 4.0], np.e),
-        "table": (TabulatedDelay([0.0, 10.0, 100.0, 1e3, 1e4],
-                                 [0.5, 2.0, 20.0, 200.0, 2e3]), [1.0, 4.0], 1.0),
-        # one rejected step early on, blocks after it
-        "rejected": (BoundedDelay(1.0), [10.0, 40.0], 1.0),
-    }
-
-    def run(self, monkeypatch, case, block):
-        delay, phi0, t_start = self.CASES[case]
-        f, g = paper_system()
-        batches = []
-
-        def counting(F):
-            if F is not g:
-                return F
-            return lambda x: batches.append(len(x) if x.ndim == 2 else 1) or F(x)
-        monkeypatch.setattr(dde, "fast_evaluator", counting)
-        monkeypatch.setattr(dde, "_BLOCK", block)
-        traj = simulate(f, g, delay, HistorySpec(np.array(phi0)),
-                        SimConfig(t_start=t_start, t_end=1e3, rho=1e-2))
-        return traj, batches
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_blocks_match_the_per_step_path(self, monkeypatch, case):
-        size = dde._BLOCK
-        per_step, batches = self.run(monkeypatch, case, 0)
-        assert max(batches) == 1
-        blocked, batches = self.run(monkeypatch, case, size)
-        assert max(batches) > 1
-        if case == "rejected":
-            # the first step is cut below the policy's 1e-2
-            assert per_step.ts[1] - per_step.ts[0] < 1e-2
-        assert np.array_equal(blocked.ts, per_step.ts)
-        assert blocked.extrapolation_flagged == per_step.extrapolation_flagged
-        if case == "powerlag":
-            # t ** alpha on an array may round d one ulp off the scalar's,
-            # and the runs drift apart by a few ulps
-            np.testing.assert_allclose(blocked.xs, per_step.xs, rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(blocked.fs, per_step.fs, rtol=0.0,
-                                       atol=1e-13 * np.abs(per_step.fs).max())
-        else:
-            assert np.array_equal(blocked.xs, per_step.xs)
-            assert np.array_equal(blocked.fs, per_step.fs)
-
-
 @st.composite
 def nodes_and_time(draw):
     """A node store of 1 to 6 nodes in n <= 3, and a delayed time at or
@@ -452,37 +399,70 @@ def nodes_and_time(draw):
     return nodes, float(d)
 
 
+def hermite_one(ts, xs, fs, d, history):
+    """The cubic Hermite lookup rebuilt from the node values on every call,
+    as the integrator did before it kept each interval's coefficients."""
+    N = len(ts)
+    t0 = ts[0]
+    if d <= t0:
+        return history, True, False
+    if N == 1:
+        return xs[0] + (d - t0) * fs[0], False, True
+    k = ts[1:N - 1].searchsorted(d, side="right") + 1
+    j = k - 1
+    t0 = ts[j]
+    h = ts[k] - t0
+    s = (d - t0) / h
+    x0, hf0 = xs[j], h * fs[j]
+    dx = xs[k] - x0
+    c3 = hf0 + h * fs[k] - 2.0 * dx
+    return x0 + s * (hf0 + s * (dx - hf0 - c3 + s * c3)), False, bool(d >= ts[N - 1])
+
+
 class TestLookupOne:
-    """A step off the plan takes one delayed time's lookup, which is
-    _lookup's row for that time, bit for bit."""
+    """Every step takes one delayed time's lookup, from the cubic
+    coefficients of the node intervals, made once."""
 
     @given(nodes_and_time())
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_row_of_the_block_lookup(self, case):
+    def test_matches_the_hermite_arithmetic(self, case):
         nodes, d = case
         N = nodes.N
-        xs, hists = dde._lookup(nodes.ts[:N], nodes.xs[:N], nodes.fs[:N], np.array([d]),
-                                nodes.history)
-        x, hist, ahead = nodes.lookup_one(d)
-        assert np.array_equal(x, xs[0])
-        assert hist == hists[0]
-        assert ahead == (not hist and d >= nodes.ts[N - 1])
+        want, hist, ahead = hermite_one(nodes.ts[:N], nodes.xs[:N], nodes.fs[:N], d,
+                                        nodes.history)
+        x, got_hist, got_ahead = nodes.lookup_one(d)
+        # the coefficients hold the same partial results, so the bits agree
+        assert np.array_equal(x, want)
+        assert (got_hist, got_ahead) == (hist, ahead)
+        k = int(np.searchsorted(nodes.ts[:N], d))
+        if 0 < k < N - 1 and d == nodes.ts[k]:
+            # s = 0 at a node inside the store: the node's state itself
+            assert np.array_equal(x, nodes.xs[k])
 
-    def test_no_one_row_block(self, monkeypatch):
-        # the section-5 system under logfraction: nearly every step is
-        # lengthened, and each takes one lookup, never a block of one
-        blocks, ones = [], []
-        serve, one = dde._serve, dde._Nodes.lookup_one
-        monkeypatch.setattr(dde, "_serve", lambda nodes, g_eval, hs, *rest:
-                            blocks.append(len(hs)) or serve(nodes, g_eval, hs, *rest))
-        monkeypatch.setattr(dde._Nodes, "lookup_one", lambda self, d:
-                            ones.append(d) or one(self, d))
+    def test_lookup_behind_the_made_intervals_makes_none(self, monkeypatch):
+        ts = np.arange(6.0)
+        nodes = dde._Nodes(ts[0], np.ones(2), np.zeros(2), np.ones(2))
+        for t in ts[1:4]:
+            nodes.append(t, np.full(2, 1.0 + t), np.ones(2))
+        nodes.lookup_one(3.5)
+        assert nodes.made == 3
+        for t in ts[4:]:
+            nodes.append(t, np.full(2, 1.0 + t), np.ones(2))
+        monkeypatch.setattr(dde, "_cubics", lambda *a: pytest.fail("coefficients made"))
+        for d in (0.5, 1.0, 2.25, 2.75):
+            nodes.lookup_one(d)
+        assert nodes.made == 3
+
+    def test_one_pass_serves_many_steps(self, monkeypatch):
+        # the proportional delay's times lie far behind the last node, so
+        # the run makes its coefficients in far fewer passes than steps
+        passes = []
+        cubics = dde._cubics
+        monkeypatch.setattr(dde, "_cubics", lambda *a: passes.append(1) or cubics(*a))
         f, g = paper_system()
-        traj = simulate(f, g, LogFractionDelay(), HistorySpec(np.array([1.0, 4.0])),
-                        SimConfig(t_start=np.e, t_end=1e3))
-        assert traj.lengthened_steps > 0
-        assert len(ones) >= traj.lengthened_steps
-        assert blocks and min(blocks) > 1
+        traj = simulate(f, g, ProportionalDelay(0.5), HistorySpec(np.array([1.0, 4.0])),
+                        SimConfig(t_start=1.0, t_end=1e3, rho=1e-2))
+        assert 0 < len(passes) < (len(traj.ts) - 1) / 10
 
 
 def term_rows(rows):
@@ -632,6 +612,27 @@ class TestGrowth:
         if case != "noncooperative":
             assert cert_calls == 0
         for a, b in ((cert.ts, ref.ts), (cert.xs, ref.xs), (cert.fs, ref.fs)):
+            assert np.array_equal(a, b)
+
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bound_decides_as_the_growth_rate(self, monkeypatch, case):
+        # with a bound that never holds, every trial takes the growth rate
+        f, g, delay, phi0, cfg = self.CASES[case]
+        growth = dde._growth
+        runs = []
+        for bound in (dde._growth_bound, lambda J, metzler: np.inf):
+            calls = []
+            monkeypatch.setattr(dde, "_growth_bound", bound)
+            monkeypatch.setattr(dde, "_growth", lambda J: calls.append(1) or growth(J))
+            runs.append((simulate(f, g, delay, HistorySpec(np.array(phi0)), cfg), len(calls)))
+        (cheap, cheap_calls), (ref, ref_calls) = runs
+        if case == "stiff-decayed":
+            # every step starts at the stable scale, which needs the rate
+            assert cheap_calls == ref_calls
+        else:
+            assert cheap_calls < ref_calls
+        for a, b in ((cheap.ts, ref.ts), (cheap.xs, ref.xs), (cheap.fs, ref.fs)):
             assert np.array_equal(a, b)
 
 

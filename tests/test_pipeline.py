@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,7 +271,7 @@ class TestLimitRegressions:
         code, crit = self.run_criterion(tmp_path, obj)
         assert code == 1
         assert crit["verdict"] == "INCONCLUSIVE"
-        assert crit["L"] == float("inf")
+        assert crit["L"] == "inf"
 
     def test_tabulated_gauge_from_one_under_bounded_delay(self, tmp_path):
         # d(t) = t - 2 < 0 at the first probe times, where mu is undefined
@@ -456,27 +457,51 @@ class TestCli:
 
     def test_nonfinite_jacobian_exits_two(self, tmp_path, capsys):
         # f itself is finite at the history, -1e308 + 8, but J[0, 0] = -inf:
-        # the Jacobian overflows and Gershgorin's bound takes inf - inf
+        # the Jacobian overflows, and the error is the only line on stderr
         obj = json.loads(paper_text())
         obj["f"][0][0]["c"] = -1e308
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             err = self.error_line(tmp_path, capsys, "all", json.dumps(obj))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "Jacobian" in err and "t=2.71828" in err
 
     def test_overflowing_gauge_fits_its_log(self, tmp_path, capsys):
-        # mu = e^t overflows at t = 1e3, ln mu = t does not: the fit and
-        # the rate plot take the latter; the monitor still takes mu itself
+        # mu = e^t overflows at t = 1e3, ln mu = t does not: the fit, the
+        # rate plot and the monitor take the latter, with no warning
+        code, out = self.run_exp_gauge(tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+        assert np.isfinite(report["simulation"]["slopes"]).all()
+        # V itself overflows, its logarithm does not
+        assert report["simulation"]["v_growth_ratio"] == "inf"
+        V = np.loadtxt(os.path.join(out, "trajectory.csv"), delimiter=",", skiprows=1)[:, -1]
+        assert V[0] > 0.0 and V[-1] == np.inf
+
+    def run_exp_gauge(self, tmp_path):
         obj = json.loads(paper_text())
         obj["mu"] = {"family": "exp", "eps": 1}
         obj["sim"]["t_end"] = 1e3
         doc_path = tmp_path / "sys.json"
         doc_path.write_text(json.dumps(obj))
-        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
-            code, out = self.run_cli(tmp_path, "all", "--input", str(doc_path))
-        assert code == 1
-        assert "Traceback" not in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = self.run_cli(tmp_path, "all", "--input", str(doc_path))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return out
+
+    def test_report_is_strict_json(self, tmp_path, capsys):
+        # the exp gauge's infinite limits, margins and growth ratio are
+        # written as strings, never as the bare Infinity that RFC 8259 lacks
+        def refuse(name):
+            raise ValueError("non-JSON constant %s" % name)
+        _, out = self.run_exp_gauge(tmp_path)
         with open(os.path.join(out, "report.json")) as fh:
-            assert np.isfinite(json.load(fh)["simulation"]["slopes"]).all()
+            report = json.load(fh, parse_constant=refuse)
+        assert report["criterion"]["L"] == "inf"
+        assert report["criterion"]["margins"] == ["inf", "inf"]
 
     def run_report(self, tmp_path, obj):
         doc_path = tmp_path / "sys.json"
