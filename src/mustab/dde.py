@@ -43,6 +43,12 @@ stable scale: the bound is never below the growth rate, so the test
 decides as the growth rate would.  A Jacobian that is not finite is a
 SimulationError.  Everything runs in the original x coordinates; the z
 quantities are derived from the trajectory afterwards.
+
+On n <= 6 vectors numpy's fixed cost per call exceeds the arithmetic, so
+the scalars the driver branches on come from .tolist() and builtins, the
+cubics are evaluated on floats and products take ndarray.dot, not @, each
+rounding as numpy would.  A NaN fails every test as under numpy's
+reductions (_extreme): a builtin min or max keeps it only at index 0.
 """
 
 from __future__ import annotations
@@ -135,22 +141,28 @@ class SimConfig:
         return max(self.h_min, min(self.rho * t, max(_H_CAP * t, 0.0)))
 
 
-def _cubics(ts, xs, fs):
+def _cubics(ts, xs, fs, out):
     """The cubic Hermite coefficients (x0, h f0, c2, c3) of each interval
-    between consecutive nodes ts, xs, fs, as rows (m, 4, n): on an interval
-    of length h, x = x0 + s (h f0 + s (c2 + s c3)) at the fraction s of it,
-    with the end values and slopes matched: c2 + c3 = dx - h f0 and
-    2 c2 + 3 c3 = h f1 - h f0."""
+    between consecutive nodes ts, xs, fs, written into the rows out (m, 4,
+    n) and returned: on an interval of length h, x = x0 + s (h f0 + s (c2 +
+    s c3)) at the fraction s of it, with the end values and slopes matched:
+    c2 + c3 = dx - h f0 and 2 c2 + 3 c3 = h f1 - h f0."""
     h = (ts[1:] - ts[:-1])[:, None]
-    x0, hf0 = xs[:-1], h * fs[:-1]
+    x0, hf0, c2, c3 = out.swapaxes(0, 1)
+    x0[...] = xs[:-1]
+    np.multiply(h, fs[:-1], out=hf0)
     dx = xs[1:] - x0
-    c3 = hf0 + h * fs[1:] - 2.0 * dx
-    return np.stack((x0, hf0, dx - hf0 - c3, c3), axis=1)
+    np.add(hf0, h * fs[1:], out=c3)
+    c3 -= 2.0 * dx
+    np.subtract(dx, hf0, out=c2)
+    c2 -= c3
+    return out
 
 
 def _cubic(c, s):
-    """The cubic with coefficient rows c at s."""
-    return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
+    """The cubic with coefficient rows c (4, n) at s, by Horner's rule on
+    Python floats, which round as numpy's operations on the rows do."""
+    return np.array([a + s * (b + s * (p + s * q)) for a, b, p, q in zip(*c.tolist())])
 
 
 class Trajectory:
@@ -183,7 +195,8 @@ class Trajectory:
             return self.xs[0].copy()
         k = ts[1:-1].searchsorted(t, side="right") + 1
         t0 = ts[k - 1]
-        c = _cubics(ts[k - 1:k + 1], self.xs[k - 1:k + 1], self.fs[k - 1:k + 1])[0]
+        c = _cubics(ts[k - 1:k + 1], self.xs[k - 1:k + 1], self.fs[k - 1:k + 1],
+                    np.empty((1, 4, self.n)))[0]
         return _cubic(c, (t - t0) / (ts[k] - t0))
 
 
@@ -234,8 +247,15 @@ class _Nodes:
         """The coefficients of every interval up to the last node, in one
         vectorised pass over those not yet made."""
         M, N = self.made, self.N
-        self.cubics[M:N - 1] = _cubics(self.ts[M:N], self.xs[M:N], self.fs[M:N])
+        _cubics(self.ts[M:N], self.xs[M:N], self.fs[M:N], self.cubics[M:N - 1])
         self.made = N - 1
+
+
+def _extreme(pick, values):
+    """min or max (pick) of a list of floats, NaN when any is, as numpy's
+    reduction: the builtin keeps a NaN only at index 0."""
+    total = sum(values)
+    return pick(values) if total == total or all(v == v for v in values) else math.nan
 
 
 def _growth_bound(J, metzler):
@@ -244,13 +264,13 @@ def _growth_bound(J, metzler):
     with its off-diagonal entries made absolute.  None when J is not
     finite."""
     if metzler:
-        rows = np.add.reduce(J, axis=1)
+        rows = np.add.reduce(J, axis=1).tolist()
     else:
-        rows = np.add.reduce(np.abs(J), axis=1) + 2.0 * np.minimum(J.diagonal(), 0.0)
+        rows = (np.add.reduce(np.abs(J), axis=1) + 2.0 * np.minimum(J.diagonal(), 0.0)).tolist()
     # a non-finite J gives a non-finite row, but so may a finite J's overflow
-    if not math.isfinite(np.add.reduce(rows)) and not np.isfinite(J).all():
+    if not math.isfinite(sum(rows)) and not np.isfinite(J).all():
         return None
-    return np.maximum.reduce(rows)
+    return _extreme(max, rows)
 
 
 def _growth(J):
@@ -302,14 +322,14 @@ def rodas3_step(x, F0, J, G1, Ft, h, f_eval):
     J the Jacobian of f at x, G1 = G(t + h), Ft the slope of G at t, and
     f_eval evaluates f.  Returns the new state and the estimate u4."""
     Winv = np.linalg.inv(_identity(len(x)) / (_GAMMA * h) - J)
-    u1 = Winv @ (F0 + (0.5 * h) * Ft)
-    u2 = Winv @ (F0 + (4.0 / h) * u1 + (1.5 * h) * Ft)
+    u1 = Winv.dot(F0 + (0.5 * h) * Ft)
+    u2 = Winv.dot(F0 + (4.0 / h) * u1 + (1.5 * h) * Ft)
     # stages 3 and 4 share G(t + h) + (u1 - u2)/h
     q = G1 + (u1 - u2) / h
     y3 = x + 2.0 * u1
-    u3 = Winv @ (f_eval(np.maximum(y3, 0.0)) + q)
+    u3 = Winv.dot(f_eval(np.maximum(y3, 0.0)) + q)
     y4 = y3 + u3
-    u4 = Winv @ (f_eval(np.maximum(y4, 0.0)) + q - (8.0 / 3.0 / h) * u3)
+    u4 = Winv.dot(f_eval(np.maximum(y4, 0.0)) + q - (8.0 / 3.0 / h) * u3)
     return y4 + u4, u4
 
 
@@ -354,7 +374,7 @@ class _Breakpoints:
 
 def _err_norm(u4, scale):
     """The error norm of an estimate u4 over the state's componentwise scale."""
-    return float(np.maximum.reduce(np.abs(u4) / (_ATOL + _RTOL * scale)))
+    return _extreme(max, (np.abs(u4) / (_ATOL + _RTOL * scale)).tolist())
 
 
 def _longer_step(h, err, h_pol, cap, t, breaks):
@@ -441,7 +461,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                     G1, Ft, dG1, hist1, ahead = _serve_one(
                         nodes, g_eval, h, float(delay.d(t + h)), G0, dG0, h_prev, hists[0])
                     x_new, u4_new = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
-                    lo = float(np.minimum.reduce(x_new))
+                    lo = _extreme(min, x_new.tolist())
                     # the orthant first: past it, x_new is its own absolute
                     # value, and its extremes serve the estimate and the floor
                     if lo >= 0.0:
@@ -450,8 +470,8 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                             err_new = _err_norm(u4_new, scale_new)
                             accept = err_new <= 1.0
                         else:
-                            est = float(np.maximum.reduce(np.abs(u4_new)))
-                            top = float(np.maximum.reduce(scale_new))
+                            est = _extreme(max, np.abs(u4_new).tolist())
+                            top = _extreme(max, scale_new.tolist())
                             coarse = h > cfg.h_min and est / top > _EST_CUT
                             accept = est / top <= _EST_REJECT and not coarse
                             # scale_new <= top: a lower bound on the norm
@@ -461,7 +481,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                                 x_new = np.maximum(x_new, _X_FLOOR)
                             F_new, J_new = _field_jacobian(f, f_eval, x_new, max(lo, _X_FLOOR))
                             F_new += G1
-                            if np.logical_and.reduce(np.isfinite(F_new)):
+                            if all(map(math.isfinite, F_new.tolist())):
                                 break
                 # a rejection leaves the breakpoint
                 land = None

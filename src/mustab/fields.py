@@ -108,9 +108,9 @@ class PolyMap:
         """F at a point (n,) or at each row of a batch (m, n); 0**0 is 1.
 
         The integrator calls this about a million times per long run, so it
-        takes multiply.reduce, which is np.prod without its Python wrapper.
+        takes multiply.reduce and ndarray.dot: np.prod and @, cheaper per call.
         """
-        return np.multiply.reduce(x[..., None, :] ** self.E, axis=-1) @ self.CK
+        return np.multiply.reduce(x[..., None, :] ** self.E, axis=-1).dot(self.CK)
 
     def __eq__(self, other):
         return (
@@ -177,7 +177,7 @@ def field_and_jacobian(F: PolyMap, x):
     table is laid out as in PolyMap.__call__, so F(x) is bitwise the same."""
     P = np.multiply.reduce(x[None, :] ** F.E, axis=-1)
     # d/dx_j of c*prod x^a = a_j * value / x_j, exact for x_j > 0
-    return P @ F.CK, (F.CKT * P) @ F.E / x
+    return P.dot(F.CK), (F.CKT * P).dot(F.E) / x
 
 
 def _sample_points(rng, n, count=N_SAMPLES, lo=SAMPLE_RANGE[0], hi=SAMPLE_RANGE[1]):

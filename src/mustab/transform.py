@@ -40,7 +40,7 @@ def transform_field(F: PolyMap, r: DilationMap) -> tuple[PolyMap, tuple]:
     # b_j = a_j r_j, plus 1 - r_i on the term's own coordinate i
     out = PolyMap.from_arrays(F.n, F.k, F.E * rv + F.K * (1.0 - rv), F.C)
     own = out.E[np.arange(len(out.k)), out.k]
-    return out, tuple(np.unique(out.k[own < 0]).tolist())
+    return out, tuple(sorted(set(out.k[own < 0].tolist())))
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -634,6 +635,98 @@ class TestGrowth:
             assert cheap_calls < ref_calls
         for a, b in ((cheap.ts, ref.ts), (cheap.xs, ref.xs), (cheap.fs, ref.fs)):
             assert np.array_equal(a, b)
+
+
+def unit(j, n=3):
+    return tuple(float(j == k) for k in range(n))
+
+
+class TestNanRule:
+    """The driver's branch tests take their scalars from Python floats, yet
+    keep numpy's NaN: the builtin min and max keep a NaN only at index 0,
+    so a NaN or an inf is put at index 0 and at index n - 1 of n = 3."""
+
+    # f_i = -2 x_i + x_j / 2 over j != i: every component reads every
+    # state, so the field at an infinite state is not finite
+    F = PolyMap(3, [[(-2.0 if j == i else 0.5, unit(j)) for j in range(3)] for i in range(3)])
+    G = PolyMap(3, [[(0.1, unit(i))] for i in range(3)])
+
+    @pytest.mark.parametrize("i", [0, 2])
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+    def test_extremes_are_numpys(self, v, i):
+        values = [0.5, 2.0, 1.0]
+        values[i] = v
+        for pick, ufunc in ((min, np.minimum), (max, np.maximum)):
+            got, want = dde._extreme(pick, values), float(ufunc.reduce(np.array(values)))
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize("i", [0, 2])
+    @pytest.mark.parametrize("v", [np.nan, np.inf])
+    def test_err_norm_fails(self, v, i):
+        u4 = np.full(3, 1e-12)
+        u4[i] = v
+        assert not dde._err_norm(u4, np.ones(3)) <= 1.0
+
+    @pytest.mark.parametrize("metzler", [True, False])
+    @pytest.mark.parametrize("i", [0, 2])
+    @pytest.mark.parametrize("v", [np.nan, np.inf])
+    def test_growth_bound_of_a_nonfinite_jacobian_is_none(self, v, i, metzler):
+        J = np.full((3, 3), 0.1) - np.eye(3)
+        J[i, i] = v
+        assert dde._growth_bound(J, metzler) is None
+
+    @pytest.mark.parametrize("i", [0, 2])
+    def test_growth_bound_keeps_a_nan_row(self, i):
+        # a finite J whose row of |J| overflows to inf while twice its
+        # diagonal overflows to -inf: that row's bound is NaN, and so is J's
+        J = -np.eye(3)
+        J[i] = -1e308
+        # as inside simulate, where the overflow is no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(dde._growth_bound(J, False))
+
+    def events(self, monkeypatch, where, i, v):
+        """The trials, field evaluations and stable-scale calls of a run
+        whose first trial returns v at index i of x_new or of u4, up to
+        and with the second trial."""
+        log = []
+        step, field, stable = dde.rodas3_step, dde._field_jacobian, dde._stable_scale
+
+        def trial(x, F0, J, G1, Ft, h, f_eval):
+            x_new, u4 = step(x, F0, J, G1, Ft, h, f_eval)
+            if all(e[0] != "trial" for e in log):
+                (x_new if where == "x_new" else u4)[i] = v
+            log.append(("trial", h))
+            return x_new, u4
+
+        monkeypatch.setattr(dde, "rodas3_step", trial)
+        monkeypatch.setattr(dde, "_field_jacobian", lambda f, f_eval, x, x_min: log.append(
+            ("field", bool(np.isfinite(x).all()))) or field(f, f_eval, x, x_min))
+        monkeypatch.setattr(dde, "_stable_scale", lambda J, grow: log.append(
+            ("stable",)) or stable(J, grow))
+        simulate(self.F, self.G, BoundedDelay(1.0), HistorySpec(np.ones(3)),
+                 SimConfig(t_start=1.0, t_end=1.1, rho=1e-2))
+        # the field at the initial state comes before any trial
+        assert log[0] == ("field", True)
+        log = log[1:]
+        second = [k for k, e in enumerate(log) if e[0] == "trial"][1]
+        return log[:second + 1]
+
+    @pytest.mark.parametrize("i", [0, 2])
+    @pytest.mark.parametrize("where, v, taken", [
+        # the orthant test fails: rejected before the field, not as coarse
+        ("x_new", np.nan, [("stable",)]),
+        # the orthant and the estimate pass, the field is not finite
+        ("x_new", np.inf, [("field", False), ("stable",)]),
+        # the estimate test fails, not as coarse
+        ("u4", np.nan, [("stable",)]),
+        # an infinite estimate is coarse: halved with no stable scale
+        ("u4", np.inf, []),
+    ])
+    def test_trial_tests_reject_on_numpys_branch(self, monkeypatch, where, v, taken, i):
+        log = self.events(monkeypatch, where, i, v)
+        h = log[0][1]
+        assert log == [("trial", h)] + taken + [("trial", 0.5 * h)]
 
 
 class TestErrorPaths:

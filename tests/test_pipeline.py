@@ -587,3 +587,18 @@ class TestImportFootprint:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         ) % (text, str(tmp_path / "out"))
         assert self.loaded_scipy_modules(script) == "[]"
+
+    def test_reference_run_never_loads_numpy_ma(self, tmp_path):
+        # numpy.ma takes about 6 ms to import, which every run would pay;
+        # np.unique is one numpy function that imports it on first call
+        script = (
+            "import sys\n"
+            "import mustab\n"
+            "with open(%r) as fh:\n"
+            "    doc = mustab.pipeline.parse_system(fh.read())\n"
+            "report, traj, _ = mustab.pipeline.run_pipeline(doc, mustab.pipeline.STAGES)\n"
+            "assert sorted(report.stage_pass) == sorted(mustab.pipeline.STAGES)\n"
+            "mustab.pipeline.emit_outputs(report, traj, %r, mu=doc.mu)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        ) % (PAPER_DOC, str(tmp_path / "out"))
+        assert self.loaded_scipy_modules(script) == "[]"
