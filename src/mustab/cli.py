@@ -19,6 +19,7 @@ from .dde import SimulationError
 from .pipeline import (
     STAGES,
     DocumentError,
+    _strict,
     emit_outputs,
     parse_system,
     run_pipeline,
@@ -70,7 +71,8 @@ def main(argv=None):
         print("%-10s %s" % (stage, "pass" if ok else "FAIL"))
     if report.criterion is not None:
         print("verdict: %s" % report.criterion.verdict)
-        print("margins: %s" % json.dumps(report.criterion.to_dict()["margins"]))
+        margins = _strict(report.criterion.to_dict()["margins"])
+        print("margins: %s" % json.dumps(margins, allow_nan=False))
     for path in paths:
         print("wrote %s" % path)
     return code

@@ -274,29 +274,13 @@ def _growth_bound(J, metzler):
 
 
 def _growth(J):
-    """The growth rate of J's modes, for a finite J: a bound on s(J) when
-    the bound is at most 0 (no mode grows), else s(J) itself.  M is J with
-    its off-diagonal entries made absolute, so M is Metzler and s(J) <=
-    s(M).  First Gershgorin's bound, the largest row sum of M; when it is
-    positive, an M-matrix certificate: s(M) <= max_i (M v)_i / v_i for any
-    v > 0 (Collatz-Wielandt), and the solution of M v = -1 is positive
-    exactly when M is Hurwitz (Berman & Plemmons 1994, ch. 6).  For a
-    cooperative f, M = J.  Only when both fail are eigenvalues taken."""
-    M = np.abs(J)
-    diag = J.diagonal()
-    bound = np.maximum.reduce(np.add.reduce(M, axis=1) + 2.0 * np.minimum(diag, 0.0))
+    """The growth rate of J's modes, for a finite J: Gershgorin's bound on
+    the spectral abscissa s(J) when it is at most 0 (no mode grows), else
+    s(J) itself from the eigenvalues."""
+    rows = np.add.reduce(np.abs(J), axis=1) + 2.0 * np.minimum(J.diagonal(), 0.0)
+    bound = np.maximum.reduce(rows)
     if bound <= 0.0:
         return bound
-    M.flat[::len(M) + 1] = diag
-    try:
-        v = np.linalg.solve(M, np.full(len(M), -1.0))
-    except np.linalg.LinAlgError:  # M is singular
-        v = None
-    if v is not None and np.minimum.reduce(v) > 0.0 and np.maximum.reduce(v) < np.inf:
-        # evaluated, not taken from the solve: a rounded v still bounds s(M)
-        cw = np.maximum.reduce((M @ v) / v)
-        if cw < 0.0:
-            return cw
     return np.linalg.eigvals(J).real.max()
 
 

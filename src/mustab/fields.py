@@ -9,6 +9,7 @@ admits exact Jacobians and exact homogeneity certificates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,6 +42,14 @@ class Monomial:
         object.__setattr__(self, "exponents", tuple(float(e) for e in self.exponents))
         if self.coeff == 0.0:
             raise FieldError("zero-coefficient monomial")
+
+
+def _fsum(values):
+    """The sum of values rounded once, or inf when it overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return sum(values)
 
 
 class PolyMap:
@@ -84,11 +93,13 @@ class PolyMap:
         return F
 
     def _set_table(self, terms):
-        # ((component, exponents), coeff) pairs: like terms summed in order
+        # ((component, exponents), coeff) pairs: like terms summed with one
+        # rounding (fsum), so cancelling coefficients lose nothing more
         merged = {}
         for key, c in terms:
-            merged[key] = merged.get(key, 0.0) + c
-        table = sorted((key, c) for key, c in merged.items() if c != 0.0)
+            merged.setdefault(key, []).append(c)
+        table = sorted((key, c) for key, c in
+                       ((key, _fsum(cs)) for key, cs in merged.items()) if c != 0.0)
         self.k = np.array([i for (i, _), _ in table], dtype=np.intp)
         self.E = np.array([e for (_, e), _ in table], dtype=float).reshape(len(table), self.n)
         self.C = np.array([c for _, c in table], dtype=float)

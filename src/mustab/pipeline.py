@@ -307,6 +307,11 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
                 report.notes.append("criterion evaluated without full structure certificates")
         if tsys is not None:
             limits = compute_limits(mu, delay, tsys.p, doc.r_star)
+            if not limits.converged:
+                tables = " and ".join(k for k, v in (("mu", mu), ("delay", delay))
+                                      if v.family == "table")
+                report.notes.append("limits undetermined: a table (%s) fixes no limit "
+                                    "as t -> inf, and only closed forms are taken" % tables)
             flags = {}
             if report.structure:
                 flags["structure:cooperative"] = report.structure.cooperative.status

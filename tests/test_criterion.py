@@ -1,22 +1,20 @@
-import warnings
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mustab.criterion import (
     ANALYTIC,
     INCONCLUSIVE,
-    MARGIN_EPS,
-    NUMERIC,
     STABLE_CERTIFIED,
     LimitPair,
-    _fit_ratio_limit,
     burn_in_node,
     certifies,
     compute_limits,
     criterion_margins,
-    estimate_D,
-    estimate_L,
     evaluate_criterion,
     search_xi,
 )
@@ -83,16 +81,14 @@ class TestAnalyticLimits:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.4, 0.5, 0.9])
     def test_log_gauge_under_powerlag_delay(self, alpha):
-        # ln(1 + t) / ln(1 + t^alpha) -> 1/alpha, which the estimator nears
+        # ln(1 + t) / ln(1 + t^alpha) -> 1/alpha
         pair = compute_limits(LogMu(), PowerLagDelay(alpha), 0.5, 1.0)
         assert (pair.method, pair.L, pair.D) == (ANALYTIC, 1.0 / alpha, 0.0)
-        assert estimate_L(LogMu(), PowerLagDelay(alpha))[0] == pytest.approx(1.0 / alpha, rel=0.01)
 
     def test_loglog_gauge_under_logfraction_delay(self):
         # ln ln(t + 3) / ln ln(t/ln t + 3) -> 1
         pair = compute_limits(LogLogMu(), LogFractionDelay(), 0.5, 1.0)
         assert (pair.method, pair.L, pair.D) == (ANALYTIC, 1.0, 0.0)
-        assert estimate_L(LogLogMu(), LogFractionDelay())[0] == pytest.approx(1.0, rel=0.01)
 
     def test_exp_with_proportional_diverges(self):
         pair = compute_limits(ExponentialMu(0.1), ProportionalDelay(0.5), 0.0, 1.0)
@@ -100,7 +96,7 @@ class TestAnalyticLimits:
 
     def test_ratio_diverges_for_fast_gauges_under_unbounded_delays(self):
         # mu(t)/mu(d(t)) grows like (ln t)^beta, t^((1 - alpha) beta) or
-        # exponentially: analytic L = inf, never a finite numeric fit
+        # exponentially: analytic L = inf
         for mu in (PowerMu(1.0), ExponentialMu(0.1)):
             for delay in (LogFractionDelay(), PowerLagDelay(0.5)):
                 pair = compute_limits(mu, delay, 0.5, 1.0)
@@ -166,87 +162,116 @@ class TestAnalyticLimits:
         assert (pair.L, pair.D) == (1.0, 0.0)
 
 
-class TestNumericEstimators:
-    def test_estimator_matches_analytic_table(self):
-        for mu, delay, expect in ANALYTIC_L_CASES:
-            if not np.isfinite(expect):
-                continue
-            est, converged = estimate_L(mu, delay)
-            assert converged
-            assert est == pytest.approx(expect, rel=0.01)
+def closed_form(mu, delay, s):
+    """(L, D) of a parametric (mu, delay) pair, written out here apart from
+    criterion's table: L = lim mu(t)/mu(d(t)), D = lim mu'(t)/mu(t)**(1-s)."""
+    m, d = mu.family, delay.family
+    if m == "exp":
+        L = math.exp(mu.eps * delay.tau_max) if d == "bounded" else math.inf
+        D = mu.eps if s == 0 else math.inf
+    elif m == "power":
+        if d == "bounded":
+            L = 1.0
+        elif d == "proportional":
+            L = delay.q ** -mu.beta
+        else:
+            L = math.inf
+        bs = mu.beta * s
+        D = 0.0 if bs < 1.0 - 1e-12 else (mu.beta if bs <= 1.0 + 1e-12 else math.inf)
+    else:
+        L = 1.0 / delay.alpha if (m, d) == ("log", "powerlag") else 1.0
+        D = 0.0
+    return L, D
 
-    def test_estimator_detects_divergence(self):
-        est, _ = estimate_L(ExponentialMu(0.1), ProportionalDelay(0.5))
-        assert np.isinf(est)
 
-    def test_estimate_D(self):
-        assert estimate_D(LogMu(), 1.0)[0] == 0.0
-        assert np.isinf(estimate_D(ExponentialMu(0.5), 1.0)[0])
-        val, conv = estimate_D(PowerMu(2.0), 0.5)
-        assert conv
-        assert val == pytest.approx(2.0, rel=0.01)
+@st.composite
+def parametric_pairs(draw):
+    """A pair of parametric families with random parameters, and an
+    exponent deficit s at, below or above the gauge's threshold."""
+    mu = draw(st.one_of(
+        st.builds(ExponentialMu, st.floats(0.01, 5.0)),
+        st.builds(PowerMu, st.floats(0.05, 5.0)),
+        st.just(LogMu()),
+        st.just(LogLogMu()),
+    ))
+    delay = draw(st.one_of(
+        st.builds(BoundedDelay, st.floats(0.01, 10.0)),
+        st.builds(ProportionalDelay, st.floats(0.01, 0.99)),
+        st.just(LogFractionDelay()),
+        st.builds(PowerLagDelay, st.floats(0.01, 0.99)),
+    ))
+    side = draw(st.sampled_from(("at", "below", "above")))
+    if mu.family == "power":
+        s = {"at": 1.0, "below": draw(st.floats(0.0, 0.99)),
+             "above": draw(st.floats(1.01, 3.0))}[side] / mu.beta
+    else:
+        s = {"at": 0.0, "below": -draw(st.floats(0.01, 2.0)),
+             "above": draw(st.floats(0.01, 2.0))}[side]
+    return mu, delay, s
 
-    def test_tabulated_inputs_use_numeric_path(self):
-        t = np.exp(np.linspace(0.0, 10.0, 64))
-        mu = TabulatedMu(t, np.log1p(t))
-        delay = TabulatedDelay(t, 0.5 * t)
-        pair = compute_limits(mu, delay, 0.0, 1.0)
-        assert pair.method == NUMERIC
-        # log mu with proportional-type delay tends to 1
-        assert pair.L == pytest.approx(1.0, rel=0.15)
 
-    def test_tabulated_ends_are_sampled_exactly(self):
-        # the probe grids end exactly on the last table time, not one
-        # rounding step beyond it
-        t = [3.0, 10.0, 100.0, 1e3, 1e4, 1e5]
-        pair = compute_limits(LogMu(), TabulatedDelay(t, np.ones(6)), 0.0, 1.0)
-        assert pair.L == pytest.approx(1.0, rel=1e-3)
-        t = np.geomspace(10.0, 1e4, 20)
-        pair = compute_limits(TabulatedMu(t, (1.0 + t) ** 2), BoundedDelay(1.0), 0.0, 1.0)
-        assert pair.L == pytest.approx(1.0, rel=0.01)
-        assert pair.D == 0.0
+class TestClosedForms:
+    @settings(max_examples=400, deadline=None)
+    @given(parametric_pairs())
+    def test_every_parametric_pair(self, case):
+        # random parameters keep each pair's value apart from its
+        # neighbours' (q^-beta and 1/alpha are not 1, exp(eps tau) is not 1)
+        mu, delay, s = case
+        pair = compute_limits(mu, delay, s, 1.0)
+        L, D = closed_form(mu, delay, s)
+        assert pair.method == ANALYTIC and pair.converged
+        assert pair.L == pytest.approx(L, rel=1e-12)
+        assert pair.D == pytest.approx(D, rel=1e-12)
+        if mu.family in ("log", "loglog") and delay.family != "bounded" \
+                and (mu.family, delay.family) != ("loglog", "powerlag"):
+            # the ratio itself, in the log domain at t = 1e300, is within
+            # 0.02 of these limits (ln ln t / ln t is 0.0095 there);
+            # (loglog, powerlag) nears 1 only like ln(1/alpha) / ln ln t
+            t = 1e300
+            ratio = math.exp(mu.log_value(t) - mu.log_value(delay.delayed_time(t)))
+            assert abs(ratio - pair.L) <= 0.02
 
-    def test_subnormal_parameter_fits_without_warnings(self):
-        # 1/u overflows at a subnormal u: the columns it feeds are dropped
-        # as non-finite, and no floating-point warning escapes
-        u = np.array([1e-3, 1e-200, 5e-324])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = _fit_ratio_limit(np.log1p(u), u)
-        assert est == pytest.approx(1.0, rel=1e-9)
 
-    def test_tabulated_domain_too_short(self):
-        t = np.linspace(1.0, 5.0, 8)
-        mu = TabulatedMu(t, np.log1p(t))
-        delay = TabulatedDelay(t, np.full_like(t, 0.5))
-        with pytest.raises(RateError):
-            compute_limits(mu, delay, 0.0, 1.0)
+class TestTabulatedLimits:
+    # no finite table fixes a limit as t -> inf
+    T = np.geomspace(1.0, 1e6, 16)
+
+    def test_table_gauge_leaves_both_undetermined(self):
+        for delay in (BoundedDelay(1.0), TabulatedDelay(self.T, 0.5 * self.T)):
+            pair = compute_limits(TabulatedMu(self.T, np.log1p(self.T)), delay, 0.0, 1.0)
+            assert np.isnan(pair.L) and np.isnan(pair.D)
+            assert pair.method == "undetermined" and not pair.converged
+
+    def test_table_delay_keeps_the_gauges_D(self):
+        pair = compute_limits(PowerMu(2.0), TabulatedDelay(self.T, 0.5 * self.T), 0.5, 1.0)
+        assert np.isnan(pair.L) and pair.D == 2.0
+        assert not pair.converged and not pair.finite()
 
 
 class TestMargins:
     def test_paper_margins(self):
         fbar, gbar, r = paper_transformed()
-        m = criterion_margins(fbar, gbar, np.ones(2), r, 2.0, 2.0,
-                              LimitPair(1.0, 0.0, ANALYTIC))
+        m, _ = criterion_margins(fbar, gbar, np.ones(2), r, 2.0, 2.0,
+                                 LimitPair(1.0, 0.0, ANALYTIC))
         assert np.allclose(m, [-4.0, -1.0], atol=1e-12)
 
     def test_paper_margins_base_scaling(self):
         fbar, gbar, r = paper_transformed()
-        m = criterion_margins(fbar, gbar, np.ones(2), r, 1.0, 2.0,
-                              LimitPair(1.0, 0.0, ANALYTIC))
+        m, _ = criterion_margins(fbar, gbar, np.ones(2), r, 1.0, 2.0,
+                                 LimitPair(1.0, 0.0, ANALYTIC))
         assert np.allclose(m, [-2.0, -0.5], atol=1e-12)
 
     def test_infinite_limits_give_infinite_margins(self):
         fbar, gbar, r = paper_transformed()
-        m = criterion_margins(fbar, gbar, np.ones(2), r, 2.0, 2.0,
-                              LimitPair(np.inf, 0.0, ANALYTIC))
+        m, _ = criterion_margins(fbar, gbar, np.ones(2), r, 2.0, 2.0,
+                                 LimitPair(np.inf, 0.0, ANALYTIC))
         assert np.all(np.isinf(m))
 
     def test_overflowing_delay_factor_gives_infinite_margins(self):
         # a finite L whose power L**((p+1)/r_star) overflows a float
         fbar, gbar, r = paper_transformed()
-        m = criterion_margins(fbar, gbar, np.ones(2), r, 0.05, 2.0,
-                              LimitPair(3e15, 0.0, "pointwise"))
+        m, _ = criterion_margins(fbar, gbar, np.ones(2), r, 0.05, 2.0,
+                                 LimitPair(3e15, 0.0, "pointwise"))
         assert np.all(np.isinf(m))
 
     def test_xi_must_be_positive(self):
@@ -258,15 +283,84 @@ class TestMargins:
 
 class TestCertifies:
     def test_one_row(self):
-        assert certifies(np.array([-4.0, -1.0]))
-        assert not certifies(np.array([-4.0, 0.0]))
-        assert not certifies(np.array([-4.0, -0.5 * MARGIN_EPS]))
-        assert not certifies(np.array([-4.0, np.nan]))
+        b = np.full(2, 1e-15)
+        assert certifies(np.array([-4.0, -1.0]), b)
+        assert not certifies(np.array([-4.0, 0.0]), b)
+        assert not certifies(np.array([-4.0, -0.5e-15]), b)
+        assert not certifies(np.array([-4.0, np.nan]), b)
+        assert not certifies(np.array([-4.0, -1.0]), np.array([0.0, np.nan]))
+        assert not certifies(np.array([-4.0, -np.inf]), np.array([0.0, np.inf]))
 
     def test_row_wise(self):
-        m = np.array([[-4.0, -1.0], [-4.0, np.inf], [-np.inf, -2.0 * MARGIN_EPS],
-                      [1.0, -1.0]])
-        assert certifies(m).tolist() == [True, False, True, False]
+        m = np.array([[-4.0, -1.0], [-4.0, np.inf], [-np.inf, -2e-15], [1.0, -1.0]])
+        assert certifies(m, np.full((4, 2), 1e-15)).tolist() == [True, False, True, False]
+
+    def test_bound_covers_the_reference_rounding_only(self):
+        fbar, gbar, r = paper_transformed()
+        m, b = criterion_margins(fbar, gbar, np.ones(2), r, 2.0, 2.0,
+                                 LimitPair(1.0, 0.0, ANALYTIC))
+        assert m.tolist() == [-4.0, -1.0]
+        assert np.all((0.0 < b) & (b < 1e-13))
+
+
+# exact sum of a row's terms at xi, from the map's own float coefficients
+def exact_row(F, xi, j):
+    return sum((Fraction(c) * math.prod(Fraction(x) ** int(e) for x, e in zip(xi, row))
+                for c, row, k in zip(F.C.tolist(), F.E.tolist(), F.k.tolist()) if k == j),
+               Fraction(0))
+
+
+@st.composite
+def cancelling_systems(draw):
+    """A system whose margins Fraction computes exactly: integer exponents,
+    xi and r powers of 2, L = 1 or 2 with (p+1)/r* = 1, D a float.  Each row
+    of f has a term that cancels the rest of the margin to within a
+    rounding, and a small term of either sign decides the exact sign."""
+    n = draw(st.integers(1, 3))
+    xi = [2.0 ** draw(st.integers(-3, 3)) for _ in range(n)]
+    r = [2.0 ** draw(st.integers(-1, 1)) for _ in range(n)]
+    L = draw(st.sampled_from((1.0, 2.0)))
+    D = draw(st.sampled_from((0.0, 2.0 ** -40, 0.5)))
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    coeff = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(0.5, 1.0), st.integers(-20, 50)
+                      ).map(lambda m: m[0] * m[1] * 2.0 ** m[2])
+
+    def value(terms):
+        return sum((Fraction(c) * math.prod(Fraction(x) ** e for x, e in zip(xi, ex))
+                    for c, ex in terms), Fraction(0))
+
+    f, g = [], []
+    for j in range(n):
+        fj = draw(st.lists(st.tuples(coeff, exps), min_size=1, max_size=5))
+        gj = draw(st.lists(st.tuples(coeff, exps), max_size=2))
+        # margin_j = (r*/r_j) (f_j + L g_j)/xi_j + D is 0 when f_j + L g_j
+        # is -D xi_j r_j / r*
+        rest = value(fj) + Fraction(L) * value(gj) + Fraction(D * xi[j] * r[j]) / Fraction(max(r))
+        last = draw(exps)
+        fj.append((float(-rest / value([(1.0, last)])), last))
+        fj.append((draw(st.sampled_from((-1.0, 1.0))) * 2.0 ** draw(st.integers(-60, 0)),
+                   draw(exps)))
+        # the cancelling term is 0 when the rest cancels exactly
+        f.append([t for t in fj if t[0] != 0.0])
+        g.append(gj)
+    return PolyMap(n, f), PolyMap(n, g), xi, DilationMap(tuple(r)), L, D
+
+
+class TestSoundMargins:
+    @settings(max_examples=500, deadline=None)
+    @given(cancelling_systems())
+    def test_no_certificate_on_an_exact_margin_at_least_zero(self, case):
+        fbar, gbar, xi, r, L, D = case
+        r_star = max(r.r)
+        p = r_star - 1.0  # (p + 1)/r_star = 1, so L**((p+1)/r_star) = L exactly
+        flags = {"structure:cooperative": "certified", "structure:nondecreasing": "certified"}
+        rep = evaluate_criterion(fbar, gbar, np.array(xi), r, r_star, p,
+                                 LimitPair(L, D, ANALYTIC), flags)
+        exact = [Fraction(r_star) / Fraction(rj) * (exact_row(fbar, xi, j)
+                 + Fraction(L) * exact_row(gbar, xi, j)) / Fraction(xi[j]) + Fraction(D)
+                 for j, rj in enumerate(r.r)]
+        if rep.verdict == STABLE_CERTIFIED:
+            assert all(m < 0 for m in exact), (rep.margins, exact)
 
 
 def burn_in_loop(ts, mu, delay, fbar, gbar, xi, r, r_star, p):
@@ -281,8 +375,8 @@ def burn_in_loop(ts, mu, delay, fbar, gbar, xi, r, r_star, p):
             continue
         Lpt = float(mu.value(tk)) / max(float(mu.value(d)), 1e-300)
         Dpt = float(mu.derivative(tk)) * float(mu.value(tk)) ** (p / r_star - 1.0)
-        m = criterion_margins(fbar, gbar, xi, r, r_star, p, LimitPair(Lpt, Dpt, "pointwise"))
-        if certifies(m):
+        m, b = criterion_margins(fbar, gbar, xi, r, r_star, p, LimitPair(Lpt, Dpt, "pointwise"))
+        if certifies(m, b):
             return k
     return None
 
@@ -340,6 +434,17 @@ class TestBurnIn:
         assert burn_in_node(ts, LogMu(), LogFractionDelay(), fbar, gbar, np.ones(2), r,
                             2.0, 2.0) is None
 
+    def test_rounding_is_no_burn_in(self):
+        # at xi = (1, 1) margin_1 is f_1's coefficient sum plus D(t) > 0:
+        # exactly +0.001 + D(t), in floats -2 + D(t), negative at every node
+        f = PolyMap(2, [[(-1.1000000000000002e16, (1, 0)), (1e16, (0.5, 0.5)), (1.0, (0, 1)),
+                         (1.0, (0.25, 0.75)), (0.001, (0.75, 0.25)), (1e15, (0.125, 0.875))],
+                        [(1.0, (1, 0)), (-2.0, (0, 1))]])
+        g = PolyMap(2, [[], []])
+        ts = np.geomspace(2.0, 1e6, 50)
+        assert burn_in_node(ts, LogMu(), BoundedDelay(1.0), f, g, np.ones(2),
+                            DilationMap((1.0, 1.0)), 1.0, 0.0) is None
+
 
 class TestVerdict:
     def flags(self):
@@ -370,12 +475,13 @@ class TestVerdict:
                                  LimitPair(1.0, 0.0, ANALYTIC), flags)
         assert rep.verdict == INCONCLUSIVE
 
-    def test_unconverged_limits_block_certificate(self):
+    def test_undetermined_limits_block_certificate(self):
         fbar, gbar, r = paper_transformed()
-        rep = evaluate_criterion(fbar, gbar, np.ones(2), r, 2.0, 2.0,
-                                 LimitPair(1.0, 0.0, NUMERIC, converged=False),
-                                 self.flags())
-        assert rep.verdict == INCONCLUSIVE
+        for L, D in ((np.nan, 0.0), (1.0, np.nan)):
+            rep = evaluate_criterion(fbar, gbar, np.ones(2), r, 2.0, 2.0,
+                                     LimitPair(L, D, "undetermined"), self.flags())
+            assert rep.verdict == INCONCLUSIVE
+            assert np.isinf(rep.margins).all()
 
     def test_report_serializes(self):
         fbar, gbar, r = paper_transformed()
@@ -398,15 +504,14 @@ class TestSearchXi:
             assert found is not None
             assert np.all(margins < 0)
 
-    def test_no_weights_on_unconverged_limits(self):
-        # the same system finds weights when the estimate converged
+    def test_no_weights_on_undetermined_limits(self):
+        # the same system finds weights when L is known
         rng = np.random.default_rng(20)
         r = DilationMap((1.0, 1.0, 1.0))
         f, g = random_stable_linear_metzler(rng, 3)
-        for converged in (True, False):
-            limits = LimitPair(1.0, 0.0, NUMERIC, converged=converged)
-            found, xi, margins = search_xi(f, g, r, 1.0, 0.0, limits)
-            assert (found is not None) == converged
+        for L in (1.0, np.nan):
+            found, xi, margins = search_xi(f, g, r, 1.0, 0.0, LimitPair(L, 0.0, "undetermined"))
+            assert (found is not None) == (L == 1.0)
 
     def test_reports_best_attempt_on_failure(self):
         f = PolyMap(1, [[(1.0, (1.0,))]])  # growing, no weights can help

@@ -45,6 +45,15 @@ class TestPolyMap:
         F = PolyMap(1, [[(1.0, (2,)), (-1.0, (2,))]])
         assert F.is_zero()
 
+    def test_like_terms_sum_with_one_rounding(self):
+        # in order, 1e16 + 1 + 1 - 1e16 - 1.5 is -1.5 in floats; it is 0.5
+        F = PolyMap(1, [[(1e16, (1,)), (1.0, (1,)), (1.0, (1,)), (-1e16, (1,)), (-1.5, (1,))]])
+        assert F.C.tolist() == [0.5]
+
+    def test_like_terms_that_overflow_sum_to_inf(self):
+        F = PolyMap(1, [[(1e308, (1,)), (1e308, (1,))]])
+        assert F.C.tolist() == [np.inf]
+
     def test_zero_coefficient_rejected(self):
         with pytest.raises(FieldError):
             Monomial(0.0, (1,))

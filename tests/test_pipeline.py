@@ -260,7 +260,7 @@ class TestLimitRegressions:
         code = cli_main(["check", "transform", "criterion", "--input", str(path),
                          "--out", str(out)])
         with open(out / "report.json") as fh:
-            return code, json.load(fh)["criterion"]
+            return code, json.load(fh)
 
     def test_power_gauge_under_logfraction_delay_not_certified(self, tmp_path):
         # mu(t)/mu(d(t)) grows like ln t, so L is infinite; a numeric fit
@@ -268,20 +268,77 @@ class TestLimitRegressions:
         obj = json.loads(scalar_doc([{"c": 0.001, "e": [1.5]}], np.e))
         obj["f"] = [[{"c": -50.0, "e": [1.5]}]]
         obj.update(mu={"family": "power", "beta": 1.0}, delay={"family": "logfraction"})
-        code, crit = self.run_criterion(tmp_path, obj)
+        code, report = self.run_criterion(tmp_path, obj)
         assert code == 1
-        assert crit["verdict"] == "INCONCLUSIVE"
-        assert crit["L"] == "inf"
+        assert report["criterion"]["verdict"] == "INCONCLUSIVE"
+        assert report["criterion"]["L"] == "inf"
 
     def test_tabulated_gauge_from_one_under_bounded_delay(self, tmp_path):
-        # d(t) = t - 2 < 0 at the first probe times, where mu is undefined
+        # no finite table fixes a limit as t -> inf: L and D are undetermined,
+        # the margins infinite, and a note names the table
         t = [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6]
         obj = json.loads(scalar_doc([{"c": 0.1, "e": [2.0]}], 2.0))
         obj.update(mu={"family": "table", "t": t, "mu": np.log1p(t).tolist()},
                    delay={"family": "bounded", "tau_max": 2.0})
-        code, crit = self.run_criterion(tmp_path, obj)
-        assert code == 0
-        assert crit["L"] == pytest.approx(1.0, rel=0.01)
+        code, report = self.run_criterion(tmp_path, obj)
+        crit = report["criterion"]
+        assert code == 1
+        assert crit["verdict"] == "INCONCLUSIVE"
+        assert (crit["L"], crit["D"], crit["limit_method"]) == ("nan", "nan", "undetermined")
+        assert crit["margins"] == ["inf"]
+        assert report["notes"] == ["limits undetermined: a table (mu) fixes no limit "
+                                   "as t -> inf, and only closed forms are taken"]
+
+    def test_tabulated_delay_under_parametric_gauge(self, tmp_path):
+        # D depends on the gauge alone and stays closed-form; L does not
+        t = [1.0, 10.0, 100.0, 1e3]
+        obj = json.loads(scalar_doc([{"c": 0.1, "e": [2.0]}], 2.0))
+        obj["delay"] = {"family": "table", "t": t, "tau": [1.0] * 4}
+        code, report = self.run_criterion(tmp_path, obj)
+        crit = report["criterion"]
+        assert code == 1
+        assert (crit["verdict"], crit["L"], crit["D"]) == ("INCONCLUSIVE", "nan", 0.0)
+        assert report["notes"] == ["limits undetermined: a table (delay) fixes no limit "
+                                   "as t -> inf, and only closed forms are taken"]
+
+
+def term(c, *e):
+    return {"c": c, "e": list(e)}
+
+
+class TestSoundMargins:
+    def run(self, tmp_path, capsys, obj):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(obj))
+        code = cli_main(["check", "transform", "criterion", "--input", str(path),
+                         "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().out
+
+    def test_cancelling_row_is_not_certified(self, tmp_path, capsys):
+        # at xi = (1, 1) margin_1 is the sum of f_1's coefficients: exactly
+        # +0.001, but -2.0 in floats, where the terms' sum of magnitudes is
+        # 2.2e16 and its rounding error bound about 50
+        obj = {
+            "n": 2, "r": [1, 1], "xi": [1, 1], "g": [[], []],
+            "mu": {"family": "log"}, "delay": {"family": "bounded", "tau_max": 1},
+            "history": {"phi0": [1, 1]},
+            "f": [[term(-1.1000000000000002e16, 1, 0), term(1e16, 0.5, 0.5), term(1, 0, 1),
+                   term(1, 0.25, 0.75), term(0.001, 0.75, 0.25), term(1e15, 0.125, 0.875)],
+                  [term(1, 1, 0), term(-2, 0, 1)]],
+        }
+        code, out = self.run(tmp_path, capsys, obj)
+        assert code == 1
+        assert "verdict: INCONCLUSIVE" in out and "margins: [-2.0, -1.0]" in out
+
+    def test_like_terms_cancel_exactly(self, tmp_path, capsys):
+        # f = (1e16 + 1 + 1 - 1e16 - 1.5) x = 0.5 x, so x' = 0.5 x + 0.5 x(t-1)
+        # grows; summed in order the like terms gave f = -1.5 x and margin -1
+        obj = json.loads(scalar_doc([term(0.5, 1.0)], 2.0))
+        obj["f"] = [[term(1e16, 1.0), term(1.0, 1.0), term(1.0, 1.0), term(-1e16, 1.0),
+                     term(-1.5, 1.0)]]
+        code, out = self.run(tmp_path, capsys, obj)
+        assert code == 1
+        assert "verdict: INCONCLUSIVE" in out and "margins: [1.0]" in out
 
 
 class TestStiffSimulation:
@@ -502,6 +559,8 @@ class TestCli:
             report = json.load(fh, parse_constant=refuse)
         assert report["criterion"]["L"] == "inf"
         assert report["criterion"]["margins"] == ["inf", "inf"]
+        # and the margins line of the CLI is written the same way
+        assert 'margins: ["inf", "inf"]' in capsys.readouterr().out.splitlines()
 
     def run_report(self, tmp_path, obj):
         doc_path = tmp_path / "sys.json"
