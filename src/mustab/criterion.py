@@ -268,11 +268,12 @@ def evaluate_criterion(fbar, gbar, xi, r: DilationMap, r_star, p,
 
 
 def search_xi(fbar, gbar, r: DilationMap, r_star, p, limits: LimitPair):
-    """Multiplicative coordinate descent for a weight vector with all
-    margins negative.
+    """Multiplicative coordinate descent for a weight vector whose margins
+    certify, ranking weights by their largest margin plus rounding bound:
+    the quantity that certifies tests.
 
     Returns (found, best_xi, best_margins): ``found`` is the successful xi
-    or None, ``best_xi`` the minimizer of the worst margin seen.
+    or None, ``best_xi`` the best-ranked weight seen.
     """
     xi = np.ones(fbar.n)
     best, bound = criterion_margins(fbar, gbar, xi, r, r_star, p, limits)
@@ -282,6 +283,7 @@ def search_xi(fbar, gbar, r: DilationMap, r_star, p, limits: LimitPair):
         return None, xi, best
     if certifies(best, bound):
         return xi, xi, best
+    score = (best + bound).max()
     for _ in range(_SWEEPS):
         improved = False
         for j in range(fbar.n):
@@ -289,8 +291,9 @@ def search_xi(fbar, gbar, r: DilationMap, r_star, p, limits: LimitPair):
                 cand = xi.copy()
                 cand[j] *= fac
                 m, bound = criterion_margins(fbar, gbar, cand, r, r_star, p, limits)
-                if m.max() < best.max():
-                    xi, best = cand, m
+                worst = (m + bound).max()
+                if worst < score:
+                    xi, best, score = cand, m, worst
                     improved = True
                     if certifies(best, bound):
                         return xi, xi, best

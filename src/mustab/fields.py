@@ -30,20 +30,6 @@ class FieldError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A single term ``coeff * prod_j x_j**exponents[j]``."""
-
-    coeff: float
-    exponents: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", float(self.coeff))
-        object.__setattr__(self, "exponents", tuple(float(e) for e in self.exponents))
-        if self.coeff == 0.0:
-            raise FieldError("zero-coefficient monomial")
-
-
 def _fsum(values):
     """The sum of values rounded once, or inf when it overflows."""
     try:
@@ -58,8 +44,10 @@ class PolyMap:
     Term t is ``C[t] * prod_j x_j**E[t, j]`` in component ``k[t]``, and
     ``K`` is the one-hot term-to-component matrix; ``CK`` is ``K`` with row
     t scaled by ``C[t]``, the matrix that sums the terms' values into the
-    components.  Like terms are merged, zero terms dropped and the rest
-    sorted by (component, exponents), so equal maps have equal tables.
+    components.  ``components`` holds, per component, (coeff, exponents)
+    pairs with nonzero coefficients.  Like terms are merged, zero sums
+    dropped and the rest sorted by (component, exponents), so equal maps
+    have equal tables.
     """
 
     def __init__(self, n, components, allow_negative_exponents=False):
@@ -68,19 +56,18 @@ class PolyMap:
             raise FieldError("expected %d components, got %d" % (n, len(components)))
         terms = []
         for i, comp in enumerate(components):
-            for term in comp:
-                if not isinstance(term, Monomial):
-                    term = Monomial(term[0], term[1])
-                if len(term.exponents) != n:
+            for c, e in comp:
+                c, e = float(c), tuple(map(float, e))
+                if c == 0.0:
+                    raise FieldError("zero-coefficient monomial")
+                if len(e) != n:
                     raise FieldError(
                         "component %d: exponent vector of length %d, expected %d"
-                        % (i, len(term.exponents), n)
+                        % (i, len(e), n)
                     )
-                if not allow_negative_exponents and min(term.exponents) < 0:
-                    raise FieldError(
-                        "component %d: negative exponent %r" % (i, min(term.exponents))
-                    )
-                terms.append(((i, term.exponents), term.coeff))
+                if not allow_negative_exponents and min(e) < 0:
+                    raise FieldError("component %d: negative exponent %r" % (i, min(e)))
+                terms.append(((i, e), c))
         self._set_table(terms)
 
     @classmethod
@@ -318,20 +305,31 @@ def homogeneity_degree(F: PolyMap, r: DilationMap):
 
 
 def check_omega_condition(G: PolyMap, i, rng=None) -> Verdict:
-    """Does component i dominate a positive multiple of x_i?
+    """Is g_i(x)/x_i bounded below by a positive function of the other
+    coordinates?
 
-    Certified when component i has a positive monomial that is exactly
-    linear in x_i and no negative monomials at all: then
-    g_i(x) >= c * prod_{j!=i} x_j^{a_j} * x_i with a positive factor
-    depending only on the other coordinates.  Refuted when a sweep of x_i
-    (other coordinates frozen) drives g_i(x)/x_i to zero at either end.
+    On a row with positive coefficients this is exact in the row's
+    exponents a_t of x_i, compared with TOL_HOM: certified iff
+    min a_t <= 1 <= max a_t (weighted AM-GM on one term each side of 1).
+    Otherwise the ratio goes to 0 as x_i -> 0 (every a_t > 1) or as
+    x_i -> inf (every a_t < 1); the witness names that end and the range
+    [min a_t, max a_t].  An empty row (g_i = 0) is refuted.  A row with a
+    negative coefficient is swept instead: x_i over [1e-6, 1e6] with the
+    other coordinates frozen at sampled points, refuted when the ratio
+    turns negative or vanishes at either end, else undecided.
     """
     if not 0 <= i < G.n:
         raise FieldError("component index %d out of range" % i)
     own = G.k == i
-    has_linear = np.any((G.C[own] > 0) & (np.abs(G.E[own, i] - 1.0) <= TOL_HOM))
-    if has_linear and np.all(G.C[own] >= 0):
-        return Verdict(CERTIFIED)
+    if np.all(G.C[own] > 0):
+        a = G.E[own, i].tolist()
+        if not a:
+            return Verdict(REFUTED, witness={"end": "0", "exponents": []})
+        lo, hi = min(a), max(a)
+        if lo <= 1.0 + TOL_HOM and hi >= 1.0 - TOL_HOM:
+            return Verdict(CERTIFIED)
+        return Verdict(REFUTED, witness={"end": "0" if lo > 1.0 else "inf",
+                                         "exponents": [lo, hi]})
     rng = rng or np.random.default_rng(2)
     sweep = np.logspace(-6, 6, 25)
     for base in _sample_points(rng, G.n, count=8, lo=0.1, hi=10.0):

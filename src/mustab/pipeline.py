@@ -78,26 +78,35 @@ def _known(obj, keys, path):
         _require(key in keys, path, "unknown key %r" % key)
 
 
+def _term_fault(term, n):
+    """The first fault of a document term as (suffix of its path, message),
+    or None for a good term."""
+    if not (isinstance(term, dict) and "c" in term and "e" in term):
+        return "", 'expected {"c": coeff, "e": [exponents]}'
+    if len(term) != 2:
+        return "", "unknown key %r" % next(key for key in term if key not in ("c", "e"))
+    e, c = term["e"], term["c"]
+    if not (isinstance(e, list) and len(e) == n):
+        return ".e", "expected %d exponents" % n
+    if not all(_finite(v) and v >= 0 for v in e):
+        return ".e", "exponents must be finite nonnegative numbers"
+    if not (_finite(c) and c != 0):
+        return ".c", "coefficient must be a finite nonzero number"
+    return None
+
+
 def _parse_polymap(obj, n, path):
     _require(isinstance(obj, list) and len(obj) == n, path,
              "expected a list of %d component term lists" % n)
     comps = []
     for i, terms in enumerate(obj):
-        _require(isinstance(terms, list), "%s[%d]" % (path, i), "expected a list of terms")
-        mons = []
+        if not isinstance(terms, list):
+            raise DocumentError("%s[%d]: expected a list of terms" % (path, i))
         for k, term in enumerate(terms):
-            tpath = "%s[%d][%d]" % (path, i, k)
-            _require(isinstance(term, dict) and "c" in term and "e" in term,
-                     tpath, 'expected {"c": coeff, "e": [exponents]}')
-            _known(term, ("c", "e"), tpath)
-            _require(isinstance(term["e"], list) and len(term["e"]) == n,
-                     tpath + ".e", "expected %d exponents" % n)
-            _require(all(_finite(v) and v >= 0 for v in term["e"]),
-                     tpath + ".e", "exponents must be finite nonnegative numbers")
-            _require(_finite(term["c"]) and term["c"] != 0,
-                     tpath + ".c", "coefficient must be a finite nonzero number")
-            mons.append((term["c"], term["e"]))
-        comps.append(mons)
+            fault = _term_fault(term, n)
+            if fault:
+                raise DocumentError("%s[%d][%d]%s: %s" % (path, i, k, *fault))
+        comps.append([(term["c"], term["e"]) for term in terms])
     return PolyMap(n, comps)
 
 
@@ -132,12 +141,6 @@ class SystemDocument:
         if self.sim:
             obj["sim"] = self.sim
         return obj
-
-    def serialize(self):
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
-
-    def __eq__(self, other):
-        return isinstance(other, SystemDocument) and self.to_json_obj() == other.to_json_obj()
 
 
 def parse_system(text: str) -> SystemDocument:

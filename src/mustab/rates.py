@@ -333,12 +333,20 @@ class TabulatedDelay(DelayFunction):
             raise RateError("tabulated delay must be nonnegative")
         # d(t) = t - tau(t) is itself a cubic on each interval: t = x[k] + s
         c0, c1, c2, c3 = _pchip(times, taus)
-        self._d = _Cubic(times, (times[:-1] - c0, 1.0 - c1, -c2, -c3))
+        _, e1, e2, e3 = coeffs = (times[:-1] - c0, 1.0 - c1, -c2, -c3)
+        # d(t) must be nondecreasing (to 1e-9, for the rounding of a constant
+        # d): on interval k, d' = e1 + 2 e2 s + 3 e3 s^2 over s in [0, h_k]
+        # is least at an end or at its vertex
+        h = np.diff(times)
+        vertex = np.clip(np.divide(-e2, 3.0 * e3, out=np.zeros_like(h), where=e3 > 0.0), 0.0, h)
+        slope = np.min([e1 + s * (2.0 * e2 + s * (3.0 * e3)) for s in (0.0, h, vertex)], axis=0)
+        bad = np.flatnonzero(slope < -1e-9)
+        if len(bad):
+            raise RateError("'tau' makes d(t) = t - tau(t) decrease on [%g, %g]"
+                            % (times[bad[0]], times[bad[0] + 1]))
+        self._d = _Cubic(times, coeffs)
         self.t_min = times[0]
         self.t_max = times[-1]
-        # d(t) should be nondecreasing; sampled check, reported not enforced
-        grid = np.linspace(self.t_min, self.t_max, 512)
-        self.delayed_time_monotone = bool(np.all(np.diff(self._d(grid)) >= -1e-9))
 
     def d(self, t):
         return self._d(t)

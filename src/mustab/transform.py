@@ -17,20 +17,6 @@ import numpy as np
 from .fields import DilationMap, FieldError, PolyMap, eval_field
 
 
-def state_to_z(x, r: DilationMap) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise FieldError("state must be componentwise nonnegative")
-    return x ** (1.0 / np.asarray(r.r))
-
-
-def z_to_state(z, r: DilationMap) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise FieldError("z must be componentwise nonnegative")
-    return z ** np.asarray(r.r)
-
-
 def transform_field(F: PolyMap, r: DilationMap) -> tuple[PolyMap, tuple]:
     """Return the transformed PolyMap and the components flagged for a
     negative self-exponent."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mustab.fields import DilationMap, Monomial, PolyMap
+from mustab.fields import DilationMap, PolyMap
 
 
 def random_dilation(rng, n, lo=0.5, hi=3.0) -> DilationMap:
@@ -35,10 +35,10 @@ def random_homogeneous_cooperative(rng, n, r: DilationMap, p, terms=3) -> PolyMa
         # negative self-term (keeps the field dissipative-looking)
         diag = [0.0] * n
         diag[i] = (p + rv[i]) / rv[i]
-        mons.append(Monomial(-rng.uniform(1.0, 5.0), diag))
+        mons.append((-rng.uniform(1.0, 5.0), diag))
         for _ in range(terms - 1):
             mons.append(
-                Monomial(rng.uniform(0.1, 1.0), _homogeneous_exponents(rng, n, rv, i, p))
+                (rng.uniform(0.1, 1.0), _homogeneous_exponents(rng, n, rv, i, p))
             )
         comps.append(mons)
     return PolyMap(n, comps)
@@ -68,7 +68,7 @@ def random_homogeneous_nondecreasing(rng, n, r: DilationMap, p, terms=2,
                 else:
                     # single coordinate: cannot stay linear in x_i unless p=0
                     a[i] = (p + rv[i]) / rv[i]
-            mons.append(Monomial(rng.uniform(0.1, 1.0), tuple(a)))
+            mons.append((rng.uniform(0.1, 1.0), tuple(a)))
         for _ in range(terms - (1 if with_omega else 0)):
             # keep the own-coordinate exponent at least (r_i - 1)/r_i so the
             # transformed term has a nonnegative self-exponent; below that the
@@ -78,7 +78,7 @@ def random_homogeneous_nondecreasing(rng, n, r: DilationMap, p, terms=2,
             rest = p + rv[i] - a[i] * rv[i]
             u = rng.uniform(0.1, 1.0, size=n)
             a = a + u * rest / float(np.dot(u, rv))
-            mons.append(Monomial(rng.uniform(0.1, 1.0), tuple(a)))
+            mons.append((rng.uniform(0.1, 1.0), tuple(a)))
         comps.append(mons)
     return PolyMap(n, comps)
 
@@ -101,7 +101,7 @@ def random_stable_linear_metzler(rng, n, dominance=1.0):
                 if M[i, j] != 0.0:
                     e = [0.0] * n
                     e[j] = 1.0
-                    mons.append(Monomial(M[i, j], e))
+                    mons.append((M[i, j], e))
             comps.append(mons)
         return PolyMap(n, comps)
 

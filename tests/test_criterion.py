@@ -394,6 +394,15 @@ BURN_IN_PAIRS = [
 ]
 
 
+def rounding_system():
+    """f and g (zero) with r = (1, 1), r* = 1, p = 0, whose first margin at
+    xi = (1, 1) is f_1's coefficient sum: +0.001 exactly, -2 in floats."""
+    f = PolyMap(2, [[(-1.1000000000000002e16, (1, 0)), (1e16, (0.5, 0.5)), (1.0, (0, 1)),
+                     (1.0, (0.25, 0.75)), (0.001, (0.75, 0.25)), (1e15, (0.125, 0.875))],
+                    [(1.0, (1, 0)), (-2.0, (0, 1))]])
+    return f, PolyMap(2, [[], []])
+
+
 class TestBurnIn:
     def test_matches_the_per_node_loop(self):
         # the times start inside [0, tau) of a bounded delay, where d < 0,
@@ -437,10 +446,7 @@ class TestBurnIn:
     def test_rounding_is_no_burn_in(self):
         # at xi = (1, 1) margin_1 is f_1's coefficient sum plus D(t) > 0:
         # exactly +0.001 + D(t), in floats -2 + D(t), negative at every node
-        f = PolyMap(2, [[(-1.1000000000000002e16, (1, 0)), (1e16, (0.5, 0.5)), (1.0, (0, 1)),
-                         (1.0, (0.25, 0.75)), (0.001, (0.75, 0.25)), (1e15, (0.125, 0.875))],
-                        [(1.0, (1, 0)), (-2.0, (0, 1))]])
-        g = PolyMap(2, [[], []])
+        f, g = rounding_system()
         ts = np.geomspace(2.0, 1e6, 50)
         assert burn_in_node(ts, LogMu(), BoundedDelay(1.0), f, g, np.ones(2),
                             DilationMap((1.0, 1.0)), 1.0, 0.0) is None
@@ -512,6 +518,15 @@ class TestSearchXi:
         for L in (1.0, np.nan):
             found, xi, margins = search_xi(f, g, r, 1.0, 0.0, LimitPair(L, 0.0, "undetermined"))
             assert (found is not None) == (L == 1.0)
+
+    def test_ranks_weights_by_margin_plus_bound(self):
+        # every move from (1, 1) raises margin_2 = (x1 - 2 x2)/x2 above -1,
+        # so ranking by the raw largest margin, -1 at (1, 1), accepts none;
+        # (1.25, 1) certifies: margins (-1.2e15, -0.75), bounds (51, 8e-15)
+        f, g = rounding_system()
+        found, xi, margins = search_xi(f, g, DilationMap((1.0, 1.0)), 1.0, 0.0,
+                                       LimitPair(1.0, 0.0, ANALYTIC))
+        assert found is not None and found.tolist() == [1.25, 1.0]
 
     def test_reports_best_attempt_on_failure(self):
         f = PolyMap(1, [[(1.0, (1.0,))]])  # growing, no weights can help

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mustab.fields import (
     CERTIFIED,
@@ -7,7 +9,6 @@ from mustab.fields import (
     UNDECIDED,
     DilationMap,
     FieldError,
-    Monomial,
     PolyMap,
     check_cooperative,
     check_nondecreasing,
@@ -55,8 +56,8 @@ class TestPolyMap:
         assert F.C.tolist() == [np.inf]
 
     def test_zero_coefficient_rejected(self):
-        with pytest.raises(FieldError):
-            Monomial(0.0, (1,))
+        with pytest.raises(FieldError, match="^zero-coefficient monomial$"):
+            PolyMap(1, [[(0.0, (1,))]])
 
     def test_negative_exponent_rejected_by_default(self):
         with pytest.raises(FieldError):
@@ -251,6 +252,56 @@ class TestOmegaCondition:
         # x_i^2 is not bounded below by a positive multiple of x_i near 0
         G = PolyMap(1, [[(1.0, (2.0,))]])
         assert check_omega_condition(G, 0).status == REFUTED
+
+    @pytest.mark.parametrize("terms, status, witness", [
+        # x^(1/2) + x^2 has no linear term; AM-GM bounds it below by 2 x
+        ([(1.0, (0.5,)), (1.0, (2.0,))], CERTIFIED, None),
+        ([(1.0, (2.0,)), (3.0, (1.5,))], REFUTED, {"end": "0", "exponents": [1.5, 2.0]}),
+        ([(1.0, (0.5,)), (1.0, (0.0,))], REFUTED, {"end": "inf", "exponents": [0.0, 0.5]}),
+        ([], REFUTED, {"end": "0", "exponents": []}),
+    ], ids=["both-sides", "superlinear", "sublinear", "empty"])
+    def test_exact_on_positive_rows(self, terms, status, witness):
+        v = check_omega_condition(PolyMap(1, [terms]), 0)
+        assert (v.status, v.witness) == (status, witness)
+
+    def test_positive_row_draws_no_sample(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        for i in range(2):
+            check_omega_condition(paper_g(), i, rng=rng)
+        assert rng.bit_generator.state == state
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n - 1),
+        st.lists(st.tuples(st.floats(0.1, 1.0),
+                           st.lists(st.one_of(st.just(1.0), st.floats(0.0, 3.0)),
+                                    min_size=n, max_size=n)),
+                 min_size=1, max_size=4),
+        st.integers(0, 2 ** 32 - 1))))
+    def test_exact_rule_agrees_with_a_dense_sweep(self, case):
+        n, i, terms, seed = case
+        comps = [[] for _ in range(n)]
+        comps[i] = terms
+        G = PolyMap(n, comps)
+        verdict = check_omega_condition(G, i).status
+        # g_i/x_i over x_i in [1e-12, 1e12] at 16 bases: an end vanishes when
+        # it falls below 1e-9 of the value at x_i = 1 (a row with an exponent
+        # on each side of 1 stays above about 1e-7 of it at these bases and
+        # coefficients), and is bounded when the ratio does not fall towards it
+        sweep = np.logspace(-12, 12, 25)
+        vanishes, bounded = False, True
+        for base in np.random.default_rng(seed).uniform(0.5, 2.0, size=(16, n)):
+            X = np.tile(base, (len(sweep), 1))
+            X[:, i] = sweep
+            ratio = eval_field(G, X)[:, i] / sweep
+            mid = ratio[len(sweep) // 2]
+            vanishes |= min(ratio[0], ratio[-1]) <= 1e-9 * mid
+            bounded &= ratio[0] >= ratio[1] and ratio[-1] >= ratio[-2]
+        if vanishes:
+            assert verdict == REFUTED
+        elif bounded:
+            assert verdict == CERTIFIED
 
     def test_index_range(self):
         with pytest.raises(FieldError):

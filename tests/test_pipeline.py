@@ -88,8 +88,8 @@ class TestParseSystem:
 
     def test_serialization_round_trip(self):
         doc = parse_system(paper_text())
-        again = parse_system(doc.serialize())
-        assert doc == again
+        again = parse_system(json.dumps(doc.to_json_obj()))
+        assert again.to_json_obj() == doc.to_json_obj()
 
 
 class TestRunPipeline:
@@ -447,6 +447,12 @@ class TestCli:
         text = (json.dumps(obj).replace('"@nan"', "NaN").replace('"@inf"', "1e400")
                 .replace('"@huge"', "1" + "0" * 400))
         assert self.error_line(tmp_path, capsys, stages, text).startswith("error: %s: " % field)
+
+    def test_decreasing_delayed_time_names_tau(self, tmp_path, capsys):
+        obj = json.loads(small_doc())
+        obj["delay"] = {"family": "table", "t": [3, 10, 100, 1000], "tau": [0, 5, 95, 0]}
+        err = self.error_line(tmp_path, capsys, "all", json.dumps(obj))
+        assert err == "error: delay: 'tau' makes d(t) = t - tau(t) decrease on [10, 100]\n"
 
     def error_line(self, tmp_path, capsys, stages, text):
         """The one line on stderr of a run that must exit 2 on the document."""

@@ -136,13 +136,22 @@ class TestTabulatedDelay:
         t = np.array([0.0, 1.0, 2.0, 4.0])
         d = TabulatedDelay(t, 0.5 * t)
         assert d.tau(2.0) == pytest.approx(1.0)
-        assert d.delayed_time_monotone
 
-    def test_nonmonotone_delayed_time_flagged(self):
+    def test_nonmonotone_delayed_time_rejected(self):
         t = np.array([0.0, 1.0, 2.0, 3.0])
-        tau = np.array([0.0, 0.0, 1.9, 0.0])
-        d = TabulatedDelay(t, tau)
-        assert not d.delayed_time_monotone
+        with pytest.raises(RateError, match=r"'tau' .* decrease on \[1, 2\]"):
+            TabulatedDelay(t, np.array([0.0, 0.0, 1.9, 0.0]))
+
+    def test_decrease_inside_an_interval_rejected(self):
+        # on [1, 2] tau's slope is 0 at both knots with secant 0.9, so the
+        # cubic's slope peaks at 1.35 mid-interval: d' = 1 - tau' is 1 at
+        # both ends and -0.35 at the vertex, though d increases knot to knot
+        with pytest.raises(RateError, match=r"decrease on \[1, 2\]"):
+            TabulatedDelay([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.9, 0.9])
+
+    def test_constant_delayed_time_accepted(self):
+        t = np.geomspace(3.0, 1e6, 40)
+        TabulatedDelay(t, t - 3.0)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(RateError):
@@ -195,18 +204,53 @@ class TestPchipAgainstScipy:
                 np.testing.assert_allclose(ours.derivative(t), ref(t, 1),
                                            rtol=1e-14, atol=1e-14 * m_scale)
 
+    @staticmethod
+    def random_delay_tables(rng, count):
+        """Tables whose PCHIP tau has slope at most 0.9, so d = t - tau is
+        increasing: tau's secants lie in [-1, 0.3], and a monotone cubic
+        Hermite piece's slope is at most three times its secant."""
+        for _ in range(count):
+            t = np.cumsum(rng.exponential(1.0, 12) * 10.0 ** rng.integers(-1, 3, 12))
+            tau = [rng.uniform(0.0, 1.0) * t[0]]
+            for h in np.diff(t):
+                tau.append(max(tau[-1] + h * rng.uniform(-1.0, 0.3), 0.0))
+            yield t, np.array(tau)
+
     def test_delayed_time_matches_scipy(self):
         # TabulatedDelay evaluates d(t) = t - tau(t) as one cubic per interval
         interpolate = pytest.importorskip("scipy.interpolate")
         rng = np.random.default_rng(2024)
-        for _ in range(200):
-            t = np.cumsum(rng.exponential(1.0, 12) * 10.0 ** rng.integers(-1, 3, 12))
-            tau = rng.uniform(0.0, 1.0, 12) * t
+        for t, tau in self.random_delay_tables(rng, 200):
             delay = TabulatedDelay(t, tau)
             h = np.diff(t)
             grid = np.concatenate([t, (t[:-1, None] + h[:, None] * rng.random((11, 4))).ravel()])
             np.testing.assert_allclose(delay.d(grid), grid - interpolate.PchipInterpolator(t, tau)(grid),
                                        rtol=1e-14, atol=1e-14 * t[-1])
+
+    def test_rejects_exactly_where_scipy_decreases(self):
+        # d' from scipy's PCHIP on 2,001 points per interval: a table is
+        # accepted iff none is below -1e-9, and the interval named is the
+        # first with one
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(2025)
+        tables = list(self.random_delay_tables(rng, 100))
+        for _ in range(100):
+            t = np.cumsum(rng.exponential(1.0, 12) * 10.0 ** rng.integers(-1, 3, 12))
+            tables.append((t, rng.uniform(0.0, 1.0, 12) * t))
+        rejected = 0
+        for t, tau in tables:
+            s = np.linspace(0.0, 1.0, 2001)
+            grid = t[:-1, None] + np.diff(t)[:, None] * s
+            slope = 1.0 - interpolate.PchipInterpolator(t, tau)(grid, 1)
+            first = np.flatnonzero((slope < -1e-9).any(axis=1))
+            if len(first):
+                rejected += 1
+                with pytest.raises(RateError, match=r"decrease on \[%g, %g\]"
+                                   % (t[first[0]], t[first[0] + 1])):
+                    TabulatedDelay(t, tau)
+            else:
+                TabulatedDelay(t, tau)
+        assert rejected >= 90
 
     def test_scalar_matches_block(self):
         x = np.array([3.0, 10.0, 100.0, 1e3, 1e4])

@@ -1,16 +1,13 @@
 import numpy as np
-import pytest
 
-from mustab.fields import CERTIFIED, DilationMap, FieldError, PolyMap, Verdict, eval_field
+from mustab.fields import CERTIFIED, DilationMap, PolyMap, Verdict, eval_field
 from mustab.fields import check_omega_condition
 from mustab.transform import (
     build_transformed_system,
-    state_to_z,
     transform_field,
     verify_lemma1,
     verify_lemma2,
     verify_lemma3,
-    z_to_state,
 )
 
 from generate import (
@@ -35,18 +32,6 @@ def paper_g():
 
 
 R12 = DilationMap((1.0, 2.0))
-
-
-class TestCoordinateMaps:
-    def test_round_trip(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            x = rng.uniform(0.0, 5.0, size=2)
-            assert np.allclose(z_to_state(state_to_z(x, R12), R12), x, rtol=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(FieldError):
-            state_to_z(np.array([-1.0, 1.0]), R12)
 
 
 class TestTransformField:
