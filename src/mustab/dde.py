@@ -35,20 +35,27 @@ evaluates the same coefficients.  simulate is the driver: the step rule
 above, rejections (a step that leaves the orthant, whose estimate is too
 large, or that takes a growing mode to the scheme's pole is halved, never
 clamped; below h_min that is a SimulationError) and the stable scale
-carried past a stiff decay.  The pole test takes Gershgorin's bound on
-the growth rate first, the largest row sum of J when the sign pattern of
-f makes J Metzler (decided once per run), and the growth rate itself
-(_growth) only when the bound reaches the pole or a rejection needs the
-stable scale: the bound is never below the growth rate, so the test
-decides as the growth rate would.  A Jacobian that is not finite is a
-SimulationError.  Everything runs in the original x coordinates; the z
-quantities are derived from the trajectory afterwards.
+carried past a stiff decay.  A run whose accepted steps stay below
+_STALL_FRACTION of |t| for _STALL_STEPS steps in a row makes no progress:
+a SimulationError naming t, not a run that never ends.  The pole test
+takes Gershgorin's bound on the growth rate first, the largest row sum of
+J when the sign pattern of f makes J Metzler (decided once per run), and
+the growth rate itself (_growth) only when the bound reaches the pole or
+a rejection needs the stable scale: the bound is never below the growth
+rate, so the test decides as the growth rate would.  A Jacobian that is
+not finite is a SimulationError.  Everything runs in the original x
+coordinates; the z quantities are derived from the trajectory afterwards.
 
 On n <= 6 vectors numpy's fixed cost per call exceeds the arithmetic, so
-the scalars the driver branches on come from .tolist() and builtins, the
-cubics are evaluated on floats and products take ndarray.dot, not @, each
-rounding as numpy would.  A NaN fails every test as under numpy's
-reductions (_extreme): a builtin min or max keeps it only at index 0.
+the scalars the driver branches on (the error norm and the Metzler row
+sums among them) come from .tolist() and builtins, the cubics are
+evaluated on floats and products take ndarray.dot, not @, each rounding as
+numpy would.  A NaN fails every test as under numpy's reductions
+(_extreme): a builtin min or max keeps it only at index 0.  The inverse of
+W = I/(gamma h) - J is LAPACK's, from the gufunc np.linalg.inv wraps,
+without that wrapper's per-call checks: the same bits.  Under simulate's
+errstate a singular W gives a NaN inverse, not a LinAlgError, and the
+NaN state that follows fails the orthant test: a rejection.
 """
 
 from __future__ import annotations
@@ -59,6 +66,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# the gufunc np.linalg.inv calls, without that wrapper's per-call checks
+from numpy.linalg._umath_linalg import inv as _inv
 
 from .fields import (DilationMap, PolyMap, cooperative_signs, fast_evaluator,
                      field_and_jacobian, jacobian)
@@ -105,6 +114,14 @@ _ATOL = 1e-12
 _GROW = 4.0
 # the most delay breakpoints made; past the last, no step is lengthened
 _BREAKS = 64
+# a run whose accepted steps stay below _STALL_FRACTION of |t| for
+# _STALL_STEPS steps in a row has moved t by under 1e-9 of itself and
+# would need over 1e12 more steps to double it: a SimulationError, not a
+# hang.  Constants, not settings: no run that finishes comes near the
+# fraction (the smallest h / t of the test suite and the benchmark's
+# workloads is about 1e-6), and the count lets a short stiff transient pass
+_STALL_FRACTION = 1e-12
+_STALL_STEPS = 1000
 
 
 class SimulationError(RuntimeError):
@@ -264,7 +281,9 @@ def _growth_bound(J, metzler):
     with its off-diagonal entries made absolute.  None when J is not
     finite."""
     if metzler:
-        rows = np.add.reduce(J, axis=1).tolist()
+        # sum from the int 0 adds left to right as numpy's row reduction
+        # does for n <= 6, down to the sign of a zero row
+        rows = [sum(row) for row in J.tolist()]
     else:
         rows = (np.add.reduce(np.abs(J), axis=1) + 2.0 * np.minimum(J.diagonal(), 0.0)).tolist()
     # a non-finite J gives a non-finite row, but so may a finite J's overflow
@@ -305,7 +324,7 @@ def rodas3_step(x, F0, J, G1, Ft, h, f_eval):
     """One RODAS3 step of x' = f(x) + G(t) from x at t: F0 = f(x) + G(t),
     J the Jacobian of f at x, G1 = G(t + h), Ft the slope of G at t, and
     f_eval evaluates f.  Returns the new state and the estimate u4."""
-    Winv = np.linalg.inv(_identity(len(x)) / (_GAMMA * h) - J)
+    Winv = _inv(_identity(len(x)) / (_GAMMA * h) - J, signature="d->d")
     u1 = Winv.dot(F0 + (0.5 * h) * Ft)
     u2 = Winv.dot(F0 + (4.0 / h) * u1 + (1.5 * h) * Ft)
     # stages 3 and 4 share G(t + h) + (u1 - u2)/h
@@ -358,7 +377,8 @@ class _Breakpoints:
 
 def _err_norm(u4, scale):
     """The error norm of an estimate u4 over the state's componentwise scale."""
-    return _extreme(max, (np.abs(u4) / (_ATOL + _RTOL * scale)).tolist())
+    return _extreme(max, [abs(u) / (_ATOL + _RTOL * s)
+                          for u, s in zip(u4.tolist(), scale.tolist())])
 
 
 def _longer_step(h, err, h_pol, cap, t, breaks):
@@ -412,6 +432,8 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
         err, exact, u4, scale = math.inf, True, None, None
         breaks = _Breakpoints(delay, t)
         lengthened = 0
+        # accepted steps in a row below _STALL_FRACTION of |t|
+        stalled = 0
 
         while t < t_end - eps_end:
             h = h_pol = min(cfg.step(t), t_end - t)
@@ -497,6 +519,11 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                         "positive, finite and accurate" % (h_floor, x, t)
                     )
             lengthened += longer
+            stalled = stalled + 1 if h < _STALL_FRACTION * abs(t) else 0
+            if stalled == _STALL_STEPS:
+                raise SimulationError(
+                    "the run stalls at t=%g: %d steps in a row below %g t"
+                    % (t, _STALL_STEPS, _STALL_FRACTION))
             t = t + h if land is None else land
             x, F0, J = x_new, F_new, J_new
             # the norm of a step that ended on a breakpoint says nothing of

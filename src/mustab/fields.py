@@ -273,9 +273,6 @@ class DilationMap:
     def __len__(self):
         return len(self.r)
 
-    def apply(self, lam, x):
-        return np.asarray(x, dtype=float) * lam ** np.asarray(self.r)
-
 
 NOT_HOMOGENEOUS = "not_homogeneous"
 

@@ -199,14 +199,15 @@ class TestNondecreasing:
         assert check_nondecreasing(G).status == REFUTED
 
 
+def dilate(r, lam, x):
+    """x_i -> lam**r_i * x_i under the weights r."""
+    return np.asarray(x, dtype=float) * lam ** np.asarray(r.r)
+
+
 class TestDilation:
     def test_weights_must_be_positive(self):
         with pytest.raises(FieldError):
             DilationMap((1.0, 0.0))
-
-    def test_apply(self):
-        r = DilationMap((1.0, 2.0))
-        assert np.allclose(r.apply(3.0, [1.0, 1.0]), [3.0, 9.0])
 
 
 class TestHomogeneity:
@@ -223,8 +224,8 @@ class TestHomogeneity:
         for _ in range(20):
             x = rng.uniform(0.1, 3.0, size=2)
             lam = rng.uniform(0.5, 2.0)
-            lhs = eval_field(F, r.apply(lam, x))
-            rhs = lam ** p * r.apply(lam, eval_field(F, x))
+            lhs = eval_field(F, dilate(r, lam, x))
+            rhs = lam ** p * dilate(r, lam, eval_field(F, x))
             assert np.allclose(lhs, rhs, rtol=1e-12)
 
     def test_violation_reports_witness(self):
