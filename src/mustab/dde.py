@@ -4,38 +4,52 @@ The model is xdot(t) = f(x(t)) + g(x(d(t))) with delayed time d(t) <= t.
 The step policy is relative, h(t) ~ rho * t: the horizons of interest (1e6
 and beyond) are unreachable with fixed small steps, and the dynamics slow
 down as t grows.  Such steps soon outgrow the fastest relaxation time of
-f, so the scheme is linearly implicit: the Rosenbrock method RODAS3 (order
-3, L-stable, with an embedded order-2 estimate), using the exact Jacobian
-of f.  The delayed term enters as a known forcing G(t) = g(x(d(t))).
+f, so the scheme is linearly implicit, a Rosenbrock method using the exact
+Jacobian of f: RODAS3 (order 3, with an embedded order-2 estimate) or
+RODAS4 (order 4, with an embedded order-3 estimate), both L-stable.  The
+delayed term enters as a known forcing G(t) = g(x(d(t))).
 
 The policy's step is the one the driver takes unless the estimate allows
-a longer one.  After an accepted step h with err = max_i |u4_i| / (_ATOL +
-_RTOL max(x_i, x_new_i)), the next step may be h min(_GROW, 0.9
-err^(-1/3)) (Hairer & Wanner II, section IV.8), at most 0.1 t and cut to
-end on the next delay breakpoint b_{k+1} = d^{-1}(b_k) from b_0 = t_start,
-where the solution's derivatives jump (Bellen & Zennaro 2003, section
-4.1), even one nearer than the policy's step.  A step longer than the
-policy's is accepted only at err <= 1, and is retried shorter, down to the
-policy's step.  The step after a landing is the policy's: the estimate
+a longer one.  After an accepted step h with err = max_i |u_i| / (_ATOL +
+_RTOL max(x_i, x_new_i)), u its method's estimate, the next step may be h
+min(_GROW, 0.9 err^(-1/q)) (Hairer & Wanner II, section IV.8), with q = 4
+after a RODAS4 step and q = 3 after a RODAS3 step, at most 0.1 t and cut
+to end on the next delay breakpoint b_{k+1} = d^{-1}(b_k) from b_0 =
+t_start, where the solution's derivatives jump (Bellen & Zennaro 2003,
+section 4.1), even one nearer than the policy's step.  A step longer than
+the policy's is accepted only at err <= 1, and is retried shorter, down to
+the policy's step.  The step after a landing is the policy's: the estimate
 of a step that ended on a breakpoint says nothing of the one past it.  A
 policy step longer than h_min whose estimate exceeds _EST_CUT of the
 state's largest component is halved, down to h_min; at or below h_min
 only _EST_REJECT rejects it.  Policy steps that are not lengthened still
 cross breakpoints.
 
-There are three parts.  rodas3_step makes one step from given forcing
-values.  _Nodes keeps the (state, right-hand side) nodes in arrays that
-double when full, and the cubic Hermite coefficients of each interval
-between them (Bellen & Zennaro 2003, section 4.1), made in one vectorised
-pass whenever a lookup reads past those already made: the delayed times
-of a long run lie far behind the last node, so one pass serves many
-steps.  Its one lookup, for one delayed time, takes the history, bisects
-for the interval and evaluates that interval's cubic; Trajectory.sample
-evaluates the same coefficients.  simulate is the driver: the step rule
-above, rejections (a step that leaves the orthant, whose estimate is too
-large, or that takes a growing mode to the scheme's pole is halved, never
-clamped; below h_min that is a SimulationError) and the stable scale
-carried past a stiff decay.  A run whose accepted steps stay below
+The method follows from whether the estimate set the step.  A trial the
+estimate lengthened past the policy's step is RODAS4: it needs about a
+third as many steps at the same _RTOL, and it never spans a breakpoint, so
+the forcing is smooth across it.  Policy steps, their halvings, steps
+carried at the stable scale and retries cut back to the policy's step are
+RODAS3, which reads the forcing at t + h alone.  A RODAS4 trial reads it
+at t + alpha h for the four alpha of _ALPHA4: four lookups, with g
+evaluated once on the four rows, and its slope at t from the quartic
+through those and G(t) (_SLOPE4).  A RODAS3 trial takes the slope of the
+parabola through G at the last two nodes and at t + h.
+
+There are three parts.  rodas3_step and rodas4_step each make one step
+from given forcing values.  _Nodes keeps the (state, right-hand side)
+nodes in arrays that double when full, and the cubic Hermite coefficients
+of each interval between them (Bellen & Zennaro 2003, section 4.1), made
+in one vectorised pass whenever a lookup reads past those already made:
+the delayed times of a long run lie far behind the last node, so one pass
+serves many steps.  Its one lookup, for one delayed time, takes the
+history, bisects for the interval and evaluates that interval's cubic;
+Trajectory.sample evaluates the same coefficients.  simulate is the
+driver: the step rule above, rejections (a step that leaves the orthant,
+whose estimate is too large, or that takes a growing mode to the scheme's
+pole is halved, never clamped; below h_min that is a SimulationError),
+each rejected trial counted by its cause (REJECTIONS), and the stable
+scale carried past a stiff decay.  A run whose accepted steps stay below
 _STALL_FRACTION of |t| for _STALL_STEPS steps in a row makes no progress:
 a SimulationError naming t, not a run that never ends.  The pole test
 takes Gershgorin's bound on the growth rate first, the largest row sum of
@@ -92,12 +106,13 @@ _EST_REJECT = 0.5
 _EST_CUT = 1e-2
 # the scheme's stability function has its pole at h * lambda = 1/gamma; a
 # step that takes a growing mode of the Jacobian there (a finite-time
-# blow-up ahead) is rejected before it is made
+# blow-up ahead) is rejected before it is made.  RODAS3's pole, at 2, is
+# nearer than RODAS4's, at 4, and the test at it serves both methods
 _POLE = 1.0 / _GAMMA
-# the stability function R(z) = (1 - z + z^3/6) / (1 - z/2)^4 is negative
-# for z < -2.85, so a step far above a stable mode's relaxation time can
-# drive a component below zero; with h * |lambda| at most 2 * _STABLE_Z,
-# R stays positive
+# RODAS3's stability function R(z) = (1 - z + z^3/6) / (1 - z/2)^4, that of
+# every step at the stable scale, is negative for z < -2.85, so a step far
+# above a stable mode's relaxation time can drive a component below zero;
+# with h * |lambda| at most 2 * _STABLE_Z, R stays positive
 _STABLE_Z = 1.0
 # the Jacobian is taken at max(x, _J_FLOOR): its entries divide by x
 _J_FLOOR = 1e-30
@@ -122,6 +137,9 @@ _BREAKS = 64
 # workloads is about 1e-6), and the count lets a short stiff transient pass
 _STALL_FRACTION = 1e-12
 _STALL_STEPS = 1000
+# the causes of a rejected trial: a state outside the orthant (or not
+# finite), an estimate too large, and a field not finite at the new state
+REJECTIONS = ("orthant", "estimate", "field")
 
 
 class SimulationError(RuntimeError):
@@ -184,10 +202,13 @@ def _cubic(c, s):
 
 class Trajectory:
     """Dense-output record: strictly increasing node times with states and
-    right-hand-side values (for cubic Hermite evaluation), and how many of
-    the steps between them the estimate lengthened past the policy's."""
+    right-hand-side values (for cubic Hermite evaluation), how many of the
+    steps between them the estimate lengthened past the policy's (the
+    RODAS4 steps), and how many trials were rejected, by cause (a key of
+    REJECTIONS)."""
 
-    def __init__(self, ts, xs, fs, extrapolation_flagged=False, lengthened_steps=0):
+    def __init__(self, ts, xs, fs, extrapolation_flagged=False, lengthened_steps=0,
+                 rejected=None):
         self.ts = np.asarray(ts, dtype=float)
         self.xs = np.asarray(xs, dtype=float)
         self.fs = np.asarray(fs, dtype=float)
@@ -197,6 +218,7 @@ class Trajectory:
             raise SimulationError("inconsistent trajectory shapes")
         self.extrapolation_flagged = bool(extrapolation_flagged)
         self.lengthened_steps = int(lengthened_steps)
+        self.rejected = dict.fromkeys(REJECTIONS, 0) if rejected is None else dict(rejected)
 
     @property
     def n(self):
@@ -336,6 +358,75 @@ def rodas3_step(x, F0, J, G1, Ft, h, f_eval):
     return y4 + u4, u4
 
 
+# RODAS4 (Hairer & Wanner II, section IV.7; rodas.f, METH=1) in the same form
+# with gamma = 1/4: stage i is taken at t + alpha_i h from x + sum_j a_ij u_j,
+# with alpha = (0, 0.386, 0.21, 0.63, 1, 1) and gamma_1 = gamma; x_new = x +
+# sum_j a_6j u_j + u6, with a_6j = a_5j for j < 5 and a_65 = 1, and u6, the
+# last stage's correction to the embedded order-3 solution, is the
+# estimate.  Rows are stages 2 to 6: a_ij and c_ij for j < i, and gamma_i
+_GAMMA4 = 0.25
+_ALPHA4 = np.array([0.386, 0.21, 0.63, 1.0])
+_A4 = ((1.544,),
+       (0.9466785280815826, 0.2557011698983284),
+       (3.314825187068521, 2.896124015972201, 0.9986419139977817),
+       (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895),
+       (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895, 1.0))
+_C4 = ((-5.6688,),
+       (-2.430093356833875, -0.2063599157091915),
+       (-0.1073529058151375, -9.594562251023355, -20.47028614809616),
+       (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.7089089320616),
+       (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
+        -6.058818238834054))
+_GAMMAS4 = (-0.1043, 0.1035, -0.03620000000000023, 0.0, 0.0)
+
+
+def _stage_rows():
+    """Stages 2 to 6 of RODAS4 as rows over the stack (u1, ..., u5, x,
+    G(t + alpha_i h) for the four alpha_i of _ALPHA4, F_t): row 0 of stage i
+    gives its state x + sum_j a_ij u_j, row 1 its forcing, G(t + alpha_i h)
+    + sum_j (c_ij/h) u_j + gamma_i h F_t.  Returned as three (5, 2, 11)
+    arrays, the part that is fixed and those that scale with 1/h and h."""
+    fixed, per_h, by_h = np.zeros((3, 5, 2, 11))
+    for i, (a, c) in enumerate(zip(_A4, _C4)):
+        fixed[i, 0, :len(a)] = a
+        fixed[i, 0, 5] = 1.0
+        fixed[i, 1, 6 + min(i, 3)] = 1.0
+        per_h[i, 1, :len(c)] = c
+        by_h[i, 1, 10] = _GAMMAS4[i]
+    return fixed, per_h, by_h
+
+
+_ROWS4 = _stage_rows()
+# the slope at t of the quartic through the forcing at t and at t + alpha h
+# for the alpha of _ALPHA4 is sum_k w_k (G(t + alpha_k h) - G(t)) / h, with
+# w_k the slope at 0 of the Lagrange basis polynomial of alpha_k on the
+# nodes 0 and _ALPHA4: third order, as a fourth-order step needs
+_SLOPE4 = np.array([np.prod(-np.delete(_ALPHA4, k)) / (a * np.prod(a - np.delete(_ALPHA4, k)))
+                    for k, a in enumerate(_ALPHA4)])
+
+
+def rodas4_step(x, F0, J, G, Ft, h, f_eval):
+    """One RODAS4 step of x' = f(x) + G(t) from x at t: F0 = f(x) + G(t),
+    J the Jacobian of f at x, G the rows G(t + alpha h) for the alpha of
+    _ALPHA4, Ft the slope of G at t, and f_eval evaluates f.  Returns the
+    new state and the estimate u6.  Each stage's state and forcing come
+    from one product of its two rows of _ROWS4 with the stack of the
+    stages before it, x, G and Ft."""
+    Winv = _inv(_identity(len(x)) / (_GAMMA4 * h) - J, signature="d->d")
+    fixed, per_h, by_h = _ROWS4
+    rows = fixed + (1.0 / h) * per_h + h * by_h
+    # zeros: a stage's rows are 0 on the stages not yet made
+    U = np.zeros((11, len(x)))
+    U[5], U[6:10], U[10] = x, G, Ft
+    U[0] = Winv.dot(F0 + (_GAMMA4 * h) * Ft)
+    for i in range(4):
+        y, q = rows[i].dot(U)
+        U[i + 1] = Winv.dot(f_eval(np.maximum(y, 0.0)) + q)
+    y, q = rows[4].dot(U)
+    u6 = Winv.dot(f_eval(np.maximum(y, 0.0)) + q)
+    return y + u6, u6
+
+
 def _serve_one(nodes, g_eval, h, d, G0, dG0, h_prev, kink):
     """The forcing G1 = g(x(d)) at the end of a step h whose delayed time is
     d, its slope at the step's start, G1 - G0, whether the lookup took the
@@ -353,6 +444,19 @@ def _serve_one(nodes, g_eval, h, d, G0, dG0, h_prev, kink):
     # and t + h: second order, so the scheme keeps its order 3
     r, hh = h / h_prev, h + h_prev
     return G1, dG * (1.0 / (r * hh)) + dG0 * (r / hh), dG, hist, ahead
+
+
+def _serve_four(nodes, g_eval, h, ds, G0):
+    """The forcing rows G = g(x(d)) at the times t + alpha h of a RODAS4
+    step h, alpha in _ALPHA4, whose delayed times are ds; their slope at
+    t, from the quartic through G0, the forcing at t, and them; G(t + h) -
+    G0; whether the lookup at t + h took the history; and whether any of
+    the four read at or past the last node.  g is evaluated once, on the
+    four rows."""
+    looks = [nodes.lookup_one(d) for d in ds]
+    G = g_eval(np.maximum([xd for xd, _, _ in looks], 0.0))
+    dG = G - G0
+    return G, _SLOPE4.dot(dG) * (1.0 / h), dG[3], looks[3][1], any(a for _, _, a in looks)
 
 
 class _Breakpoints:
@@ -381,13 +485,14 @@ def _err_norm(u4, scale):
                           for u, s in zip(u4.tolist(), scale.tolist())])
 
 
-def _longer_step(h, err, h_pol, cap, t, breaks):
+def _longer_step(h, err, q, h_pol, cap, t, breaks):
     """The step from t that the error norm err of the accepted step h
-    before it allows, at most cap and cut to end on the next breakpoint,
-    even one nearer than the policy's step h_pol, and that breakpoint when
-    it ends there; h_pol and None when the norm allows no step longer than
-    h_pol, or the breakpoints made are used up."""
-    h = min(h * min(_GROW, 0.9 / max(err, 1e-300) ** (1.0 / 3.0)), cap)
+    before it allows, for a method whose estimate is O(h^q), at most cap
+    and cut to end on the next breakpoint, even one nearer than the
+    policy's step h_pol, and that breakpoint when it ends there; h_pol and
+    None when the norm allows no step longer than h_pol, or the
+    breakpoints made are used up."""
+    h = min(h * min(_GROW, 0.9 / max(err, 1e-300) ** (1.0 / q)), cap)
     b = breaks.after(t) if h > h_pol else None
     if b is None:
         return h_pol, None
@@ -430,8 +535,12 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
         # the estimate u4 and the state's componentwise scale over that
         # step, which give the norm itself
         err, exact, u4, scale = math.inf, True, None, None
+        # the order q of that step's estimate, O(h^q): 4 after a RODAS4
+        # step, 3 after a RODAS3 step
+        q = 3
         breaks = _Breakpoints(delay, t)
         lengthened = 0
+        rejected = dict.fromkeys(REJECTIONS, 0)
         # accepted steps in a row below _STALL_FRACTION of |t|
         stalled = 0
 
@@ -440,10 +549,11 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             land = None
             # the error norm is taken only when its lower bound lets the
             # estimate lengthen the policy's step
-            if not carry and _GROW * h_prev > h_pol and err < (0.9 * h_prev / h_pol) ** 3:
+            if not carry and _GROW * h_prev > h_pol and err < (0.9 * h_prev / h_pol) ** q:
                 if not exact:
                     err = _err_norm(u4, scale)
-                h, land = _longer_step(h_prev, err, h_pol, min(_H_CAP * t, t_end - t), t, breaks)
+                h, land = _longer_step(h_prev, err, q, h_pol, min(_H_CAP * t, t_end - t), t,
+                                       breaks)
             longer = h > h_pol
             # the growth rate itself is taken only where its bound could bind
             bound, grow = _growth_bound(J, metzler), None
@@ -464,13 +574,23 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                 if grow is None and not bound * h < _POLE:
                     grow = _growth(J)
                 if bound * h < _POLE or grow * h < _POLE:
-                    G1, Ft, dG1, hist1, ahead = _serve_one(
-                        nodes, g_eval, h, float(delay.d(t + h)), G0, dG0, h_prev, hists[0])
-                    x_new, u4_new = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
+                    if longer:
+                        # the estimate set this step, and it ends on or
+                        # before the next breakpoint: RODAS4
+                        G, Ft, dG1, hist1, ahead = _serve_four(
+                            nodes, g_eval, h, delay.d(t + _ALPHA4 * h).tolist(), G0)
+                        G1 = G[3]
+                        x_new, u4_new = rodas4_step(x, F0, J, G, Ft, h, f_eval)
+                    else:
+                        G1, Ft, dG1, hist1, ahead = _serve_one(
+                            nodes, g_eval, h, float(delay.d(t + h)), G0, dG0, h_prev, hists[0])
+                        x_new, u4_new = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
                     lo = _extreme(min, x_new.tolist())
+                    cause = "orthant"
                     # the orthant first: past it, x_new is its own absolute
                     # value, and its extremes serve the estimate and the floor
                     if lo >= 0.0:
+                        cause = "estimate"
                         scale_new = np.maximum(x, x_new)
                         if longer:
                             err_new = _err_norm(u4_new, scale_new)
@@ -483,12 +603,14 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                             # scale_new <= top: a lower bound on the norm
                             err_new = est / (_ATOL + _RTOL * top)
                         if accept:
+                            cause = "field"
                             if lo < _X_FLOOR:
                                 x_new = np.maximum(x_new, _X_FLOOR)
                             F_new, J_new = _field_jacobian(f, f_eval, x_new, max(lo, _X_FLOOR))
                             F_new += G1
                             if all(map(math.isfinite, F_new.tolist())):
                                 break
+                    rejected[cause] += 1
                 # a rejection leaves the breakpoint
                 land = None
                 if longer:
@@ -530,6 +652,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             # the step after it
             err, exact, u4, scale = ((err_new, longer, u4_new, scale_new) if land is None
                                      else (math.inf, True, None, None))
+            q = 4 if longer else 3
             flagged = flagged or ahead
             G0, dG0, h_prev = G1, dG1, h
             hists = (hists[1], hist1)
@@ -540,7 +663,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             nodes.append(t, x, F0)
 
     return Trajectory(*(a[:nodes.N].copy() for a in (nodes.ts, nodes.xs, nodes.fs)),
-                      flagged, lengthened)
+                      flagged, lengthened, rejected)
 
 
 @dataclass

@@ -142,11 +142,32 @@ class SystemDocument:
             obj["sim"] = self.sim
         return obj
 
+    @property
+    def t_start(self):
+        """sim.t_start, by default where the delay's domain starts (at
+        least 0)."""
+        return float(self.sim.get("t_start", max(self.delay.t_min, 0.0)))
+
+
+def _check_time_range(doc):
+    """The simulation's time range against the order of its ends and the
+    domains of the delay and the gauge, named by the field at fault: the
+    delay is evaluated on [t_start, t_end], the gauge on the same range."""
+    t_start, t_end = doc.t_start, float(doc.sim["t_end"])
+    delay, mu = doc.delay, doc.mu
+    _require(t_start < t_end, "sim.t_end", "must be above t_start = %g" % t_start)
+    _require(t_start >= delay.t_min, "sim.t_start", "%s delay is valid on [%g, %g]"
+             % (delay.family, delay.t_min, delay.t_max))
+    _require(t_end <= delay.t_max, "sim.t_end", "%s delay is valid on [%g, %g]"
+             % (delay.family, delay.t_min, delay.t_max))
+    _require(t_end <= mu.t_max, "sim.t_end", "%s mu is valid up to %g" % (mu.family, mu.t_max))
+
 
 def parse_system(text: str) -> SystemDocument:
     """Parse and validate a system document, rejecting keys the schema
     does not have; applies defaults (xi = ones, r_star = max r_i,
-    simulation step policy) and builds the delay and the gauge."""
+    simulation step policy), builds the delay and the gauge, and checks
+    the simulation's time range against their domains."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -197,7 +218,7 @@ def parse_system(text: str) -> SystemDocument:
             if key in sim:
                 _require(_finite(sim[key]) and sim[key] > 0,
                          "sim.%s" % key, "expected a finite positive number")
-    return SystemDocument(
+    doc = SystemDocument(
         n=n, f=f, g=g, r=r,
         delay_spec=obj["delay"], mu_spec=obj["mu"], delay=delay, mu=mu,
         phi0=np.asarray(hist["phi0"], dtype=float),
@@ -205,6 +226,9 @@ def parse_system(text: str) -> SystemDocument:
         r_star=float(r_star),
         sim=dict(sim),
     )
+    if sim:
+        _check_time_range(doc)
+    return doc
 
 
 @dataclass
@@ -335,9 +359,8 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
         sim = doc.sim
         if not sim:
             raise DocumentError("sim: simulation requested but no sim config present")
-        t_start = float(sim.get("t_start", max(delay.t_min, 0.0)))
         # SimConfig holds the defaults of the keys the document leaves out
-        cfg = SimConfig(t_start, float(sim["t_end"]),
+        cfg = SimConfig(doc.t_start, float(sim["t_end"]),
                         **{k: float(sim[k]) for k in ("rho", "h_min") if k in sim})
         history = HistorySpec(doc.phi0)
         traj = simulate(doc.f, doc.g, delay, history, cfg)
@@ -353,6 +376,7 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
             "extrapolation_flagged": traj.extrapolation_flagged,
             "steps": len(traj.ts) - 1,
             "lengthened_steps": traj.lengthened_steps,
+            "rejected": traj.rejected,
         }
         report.stage_pass["simulate"] = True
         report.monitor = monitor

@@ -150,6 +150,12 @@ class TestRunPipeline:
         sim = report.simulation
         assert sim["steps"] == len(traj.ts) - 1 <= 4000
         assert 0 < sim["lengthened_steps"] < sim["steps"]
+        # the rejected trials by cause: here only lengthened RODAS4 trials
+        # whose estimate failed, each retried shorter
+        assert sim["rejected"] == traj.rejected
+        assert set(sim["rejected"]) == {"orthant", "estimate", "field"}
+        assert sim["rejected"]["orthant"] == sim["rejected"]["field"] == 0
+        assert 0 < sim["rejected"]["estimate"] < sim["lengthened_steps"]
 
     def test_inconclusive_gives_exit_one(self):
         obj = json.loads(paper_text())
@@ -453,6 +459,29 @@ class TestCli:
         obj["delay"] = {"family": "table", "t": [3, 10, 100, 1000], "tau": [0, 5, 95, 0]}
         err = self.error_line(tmp_path, capsys, "all", json.dumps(obj))
         assert err == "error: delay: 'tau' makes d(t) = t - tau(t) decrease on [10, 100]\n"
+
+    TABLE_DELAY = {"family": "table", "t": [3, 10, 100, 1000], "tau": [0, 1, 1, 1]}
+    TABLE_MU = {"family": "table", "t": [1, 10, 100, 1000], "mu": [1, 2, 3, 4]}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda o: o.update(sim={"t_start": 50.0, "t_end": 10.0}),
+         "sim.t_end: must be above t_start = 50"),
+        # t_start defaults to the start of the logfraction delay's domain, e
+        (lambda o: o.update(sim={"t_end": 2.0}), "sim.t_end: must be above t_start = 2.71828"),
+        (lambda o: o.update(sim={"t_start": 1.0, "t_end": 50.0}),
+         "sim.t_start: logfraction delay is valid on [2.71828, inf]"),
+        (lambda o: o.update(delay=TestCli.TABLE_DELAY, sim={"t_start": 3.0, "t_end": 2000.0}),
+         "sim.t_end: table delay is valid on [3, 1000]"),
+        (lambda o: o.update(mu=TestCli.TABLE_MU, sim={"t_start": 3.0, "t_end": 2000.0}),
+         "sim.t_end: table mu is valid up to 1000"),
+    ], ids=["reversed", "reversed-default-start", "before-delay", "past-delay-table",
+            "past-mu-table"])
+    def test_time_range_names_its_field(self, tmp_path, capsys, monkeypatch, edit, message):
+        # checked when the document is parsed: nothing is simulated
+        monkeypatch.setattr(pipeline, "simulate", lambda *a: pytest.fail("simulated"))
+        obj = json.loads(small_doc())
+        edit(obj)
+        assert self.error_line(tmp_path, capsys, "all", json.dumps(obj)) == "error: %s\n" % message
 
     def error_line(self, tmp_path, capsys, stages, text):
         """The one line on stderr of a run that must exit 2 on the document."""
