@@ -11,65 +11,54 @@ delayed term enters as a known forcing G(t) = g(x(d(t))).
 
 The policy's step is the one the driver takes unless the estimate allows
 a longer one.  After an accepted step h with err = max_i |u_i| / (_ATOL +
-_RTOL max(x_i, x_new_i)), u its method's estimate, the next step may be h
-min(_GROW, 0.9 err^(-1/q)) (Hairer & Wanner II, section IV.8), with q = 4
-after a RODAS4 step and q = 3 after a RODAS3 step, at most 0.1 t and cut
-to end on the next delay breakpoint b_{k+1} = d^{-1}(b_k) from b_0 =
-t_start, where the solution's derivatives jump (Bellen & Zennaro 2003,
-section 4.1), even one nearer than the policy's step.  A step longer than
-the policy's is accepted only at err <= 1, and is retried shorter, down to
-the policy's step.  The step after a landing is the policy's: the estimate
-of a step that ended on a breakpoint says nothing of the one past it.  A
-policy step longer than h_min whose estimate exceeds _EST_CUT of the
-state's largest component is halved, down to h_min; at or below h_min
-only _EST_REJECT rejects it.  Policy steps that are not lengthened still
-cross breakpoints.
+_RTOL max(x_i, x_new_i)), u its method's estimate of order q (4 after
+RODAS4, 3 after RODAS3), the next step may be h min(_GROW, 0.9
+err^(-1/q)) (Hairer & Wanner II, section IV.8), at most 0.1 t and cut to
+end on the next delay breakpoint b_{k+1} = d^{-1}(b_k) from b_0 = t_start,
+where the solution's derivatives jump (Bellen & Zennaro 2003, section
+4.1).  Such a step is RODAS4, accepted only at err <= 1, else retried
+shorter, down to the policy's step; the step after a landing is the
+policy's.  Policy steps, their halvings and retries cut back to them are
+RODAS3, and still cross breakpoints.  A policy step longer than h_min
+whose estimate exceeds _EST_CUT of the state's largest component is
+halved, down to h_min; at or below h_min only _EST_REJECT rejects it.  Any
+other rejected policy step is halved: h_min is the floor of every step,
+and below it is a SimulationError.  A RODAS3 trial reads the forcing at t
++ h, its slope from the parabola through G at the last two nodes and t +
+h; a RODAS4 trial at t + alpha h for the alpha of _ALPHA4 (g evaluated
+once on the four rows), its slope from the quartic through those and G(t).
 
-The method follows from whether the estimate set the step.  A trial the
-estimate lengthened past the policy's step is RODAS4: it needs about a
-third as many steps at the same _RTOL, and it never spans a breakpoint, so
-the forcing is smooth across it.  Policy steps, their halvings, steps
-carried at the stable scale and retries cut back to the policy's step are
-RODAS3, which reads the forcing at t + h alone.  A RODAS4 trial reads it
-at t + alpha h for the four alpha of _ALPHA4: four lookups, with g
-evaluated once on the four rows, and its slope at t from the quartic
-through those and G(t) (_SLOPE4).  A RODAS3 trial takes the slope of the
-parabola through G at the last two nodes and at t + h.
+RODAS3's stability function R(z) = (1 - z + z^3/6) / (1 - z/2)^4 is
+negative for z < -2.85, so a step far above a stable mode's relaxation
+time drives that component below zero.  Such a finite trial state is
+projected (Shampine, Thompson, Kierzenka & Byrne, Appl. Math. Comput. 170,
+2005): set to max(x_new, 0), then raised to _X_FLOOR as every accepted
+state is.  On a lengthened trial the amount projected away, |min(x_new,
+0)|, is added to the estimate before its norm; a policy step's cut and
+guard read the estimate alone.  A state with a NaN or -inf component is
+rejected, as "orthant" (REJECTIONS counts each rejection by its cause).
+x' = -sqrt(x), projected to _X_FLOOR at t = 2, has a field (-1e-150) that
+makes each step's estimate far exceed the state: the guard rejects every
+step down to h_min, and the run fails.
 
-There are three parts.  rodas3_step and rodas4_step each make one step
-from given forcing values.  _Nodes keeps the (state, right-hand side)
-nodes in arrays that double when full, and the cubic Hermite coefficients
-of each interval between them (Bellen & Zennaro 2003, section 4.1), made
-in one vectorised pass whenever a lookup reads past those already made:
-the delayed times of a long run lie far behind the last node, so one pass
-serves many steps.  Its one lookup, for one delayed time, takes the
-history, bisects for the interval and evaluates that interval's cubic;
-Trajectory.sample evaluates the same coefficients.  simulate is the
-driver: the step rule above, rejections (a step that leaves the orthant,
-whose estimate is too large, or that takes a growing mode to the scheme's
-pole is halved, never clamped; below h_min that is a SimulationError),
-each rejected trial counted by its cause (REJECTIONS), and the stable
-scale carried past a stiff decay.  A run whose accepted steps stay below
-_STALL_FRACTION of |t| for _STALL_STEPS steps in a row makes no progress:
-a SimulationError naming t, not a run that never ends.  The pole test
-takes Gershgorin's bound on the growth rate first, the largest row sum of
-J when the sign pattern of f makes J Metzler (decided once per run), and
-the growth rate itself (_growth) only when the bound reaches the pole or
-a rejection needs the stable scale: the bound is never below the growth
-rate, so the test decides as the growth rate would.  A Jacobian that is
-not finite is a SimulationError.  Everything runs in the original x
-coordinates; the z quantities are derived from the trajectory afterwards.
+rodas3_step and rodas4_step each make one step from given forcing values.
+_Nodes keeps the nodes in arrays that double when full, and the cubic
+Hermite coefficients of the intervals between them, made in one pass
+whenever a lookup reads past those made; Trajectory.sample evaluates the
+same coefficients.  simulate is the driver.  A run whose accepted steps
+stay below _STALL_FRACTION of |t| for _STALL_STEPS steps in a row is a
+SimulationError naming t, not a run that never ends.  The pole test takes
+Gershgorin's bound on the growth rate first (J's largest row sum when the
+sign pattern of f makes J Metzler), never below the growth rate itself,
+which _growth takes only when the bound reaches the pole.  A Jacobian
+that is not finite is a SimulationError.
 
 On n <= 6 vectors numpy's fixed cost per call exceeds the arithmetic, so
-the scalars the driver branches on (the error norm and the Metzler row
-sums among them) come from .tolist() and builtins, the cubics are
-evaluated on floats and products take ndarray.dot, not @, each rounding as
-numpy would.  A NaN fails every test as under numpy's reductions
-(_extreme): a builtin min or max keeps it only at index 0.  The inverse of
-W = I/(gamma h) - J is LAPACK's, from the gufunc np.linalg.inv wraps,
-without that wrapper's per-call checks: the same bits.  Under simulate's
-errstate a singular W gives a NaN inverse, not a LinAlgError, and the
-NaN state that follows fails the orthant test: a rejection.
+the driver's scalars come from .tolist() and builtins, products take
+ndarray.dot and W = I/(gamma h) - J is inverted by the LAPACK gufunc that
+np.linalg.inv wraps, each rounding as numpy's calls would.  A NaN fails
+every test as under numpy's reductions (_extreme), and a singular W gives
+a NaN inverse, so a NaN state: a rejection.
 """
 
 from __future__ import annotations
@@ -100,23 +89,18 @@ _GAMMA = 0.5
 # step of at most h_min that went wrong
 _EST_REJECT = 0.5
 # such a step longer than h_min is halved, down to h_min, when that ratio
-# exceeds this: an accuracy cut on the few policy steps that are far too
-# long, where the median ratio is of order 1e-6; accuracy otherwise only
-# lengthens the policy's steps (_RTOL below)
+# exceeds this: an accuracy cut on the few policy steps far too long (the
+# median ratio is of order 1e-6); accuracy otherwise only lengthens them
 _EST_CUT = 1e-2
 # the scheme's stability function has its pole at h * lambda = 1/gamma; a
 # step that takes a growing mode of the Jacobian there (a finite-time
 # blow-up ahead) is rejected before it is made.  RODAS3's pole, at 2, is
 # nearer than RODAS4's, at 4, and the test at it serves both methods
 _POLE = 1.0 / _GAMMA
-# RODAS3's stability function R(z) = (1 - z + z^3/6) / (1 - z/2)^4, that of
-# every step at the stable scale, is negative for z < -2.85, so a step far
-# above a stable mode's relaxation time can drive a component below zero;
-# with h * |lambda| at most 2 * _STABLE_Z, R stays positive
-_STABLE_Z = 1.0
 # the Jacobian is taken at max(x, _J_FLOOR): its entries divide by x
 _J_FLOOR = 1e-30
-# accepted states are raised to at least this: a decayed component stays positive
+# accepted states, projected or not, are raised to at least this: a
+# decayed component stays positive
 _X_FLOOR = 1e-300
 # the policy's step is at most this fraction of t
 _H_CAP = 0.1
@@ -130,15 +114,13 @@ _GROW = 4.0
 # the most delay breakpoints made; past the last, no step is lengthened
 _BREAKS = 64
 # a run whose accepted steps stay below _STALL_FRACTION of |t| for
-# _STALL_STEPS steps in a row has moved t by under 1e-9 of itself and
-# would need over 1e12 more steps to double it: a SimulationError, not a
-# hang.  Constants, not settings: no run that finishes comes near the
-# fraction (the smallest h / t of the test suite and the benchmark's
-# workloads is about 1e-6), and the count lets a short stiff transient pass
+# _STALL_STEPS steps in a row has moved t by under 1e-9 of itself: a
+# SimulationError, not a hang.  No run that finishes comes near the
+# fraction (the smallest h / t of the tests and the benchmark is about 1e-6)
 _STALL_FRACTION = 1e-12
 _STALL_STEPS = 1000
-# the causes of a rejected trial: a state outside the orthant (or not
-# finite), an estimate too large, and a field not finite at the new state
+# the causes of a rejected trial: a state with a NaN or -inf component, an
+# estimate too large, and a field not finite at the new state
 REJECTIONS = ("orthant", "estimate", "field")
 
 
@@ -315,21 +297,8 @@ def _growth_bound(J, metzler):
 
 
 def _growth(J):
-    """The growth rate of J's modes, for a finite J: Gershgorin's bound on
-    the spectral abscissa s(J) when it is at most 0 (no mode grows), else
-    s(J) itself from the eigenvalues."""
-    rows = np.add.reduce(np.abs(J), axis=1) + 2.0 * np.minimum(J.diagonal(), 0.0)
-    bound = np.maximum.reduce(rows)
-    if bound <= 0.0:
-        return bound
+    """The growth rate of a finite J's modes, its spectral abscissa s(J)."""
     return np.linalg.eigvals(J).real.max()
-
-
-def _stable_scale(J, grow):
-    """_STABLE_Z over Gershgorin's bound on the spectral radius of J, the
-    largest sum_j |J_ij|; infinite when a mode may grow."""
-    stiff = np.maximum.reduce(np.add.reduce(np.abs(J), axis=1))
-    return _STABLE_Z / stiff if grow <= 0.0 and stiff > 0.0 else np.inf
 
 
 def _field_jacobian(f, f_eval, x, x_min):
@@ -526,17 +495,12 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
         # first two unused while the slope takes the history's kink
         dG0, hists, h_prev = 0.0 * G0, (True, True), 1.0
         flagged = False
-        # steps left that start at the stable scale, and how many the next
-        # step cut to it sets: twice as many each time the policy's step
-        # between them was cut again
-        carry, span = 0, 1
         # the error norm of the last accepted step when it was lengthened,
         # inf when it landed on a breakpoint, else a lower bound on it, and
         # the estimate u4 and the state's componentwise scale over that
         # step, which give the norm itself
         err, exact, u4, scale = math.inf, True, None, None
-        # the order q of that step's estimate, O(h^q): 4 after a RODAS4
-        # step, 3 after a RODAS3 step
+        # the order q of that step's estimate: 4 after RODAS4, 3 after RODAS3
         q = 3
         breaks = _Breakpoints(delay, t)
         lengthened = 0
@@ -549,7 +513,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             land = None
             # the error norm is taken only when its lower bound lets the
             # estimate lengthen the policy's step
-            if not carry and _GROW * h_prev > h_pol and err < (0.9 * h_prev / h_pol) ** q:
+            if _GROW * h_prev > h_pol and err < (0.9 * h_prev / h_pol) ** q:
                 if not exact:
                     err = _err_norm(u4, scale)
                 h, land = _longer_step(h_prev, err, q, h_pol, min(_H_CAP * t, t_end - t), t,
@@ -559,16 +523,6 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             bound, grow = _growth_bound(J, metzler), None
             if bound is None:
                 raise SimulationError("the Jacobian of f at t=%g is not finite" % t)
-            h_stable = None
-            carried, cut = carry > 0, False
-            if carried:
-                # a stiff component has decayed: start where the stable-mode
-                # shrink below arrives after rejecting the policy's step
-                carry -= 1
-                grow = _growth(J)
-                h_stable = _stable_scale(J, grow)
-                if 2.0 * h_stable < 0.5 * h:
-                    h = 2.0 * h_stable
             while True:
                 coarse = False
                 if grow is None and not bound * h < _POLE:
@@ -587,12 +541,15 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                         x_new, u4_new = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
                     lo = _extreme(min, x_new.tolist())
                     cause = "orthant"
-                    # the orthant first: past it, x_new is its own absolute
-                    # value, and its extremes serve the estimate and the floor
-                    if lo >= 0.0:
+                    # a NaN or -inf fails this test; a finite negative
+                    # component is projected onto the orthant when accepted
+                    if lo > -math.inf:
                         cause = "estimate"
                         scale_new = np.maximum(x, x_new)
                         if longer:
+                            if lo < 0.0:
+                                # the amount projected away counts in the estimate
+                                u4_new = np.abs(u4_new) - np.minimum(x_new, 0.0)
                             err_new = _err_norm(u4_new, scale_new)
                             accept = err_new <= 1.0
                         else:
@@ -605,6 +562,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                         if accept:
                             cause = "field"
                             if lo < _X_FLOOR:
+                                # projected, and raised to the floor
                                 x_new = np.maximum(x_new, _X_FLOOR)
                             F_new, J_new = _field_jacobian(f, f_eval, x_new, max(lo, _X_FLOOR))
                             F_new += G1
@@ -618,27 +576,13 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                     h = max(0.5 * h, h_pol)
                     longer = h > h_pol
                     continue
-                if coarse:
-                    # an inaccurate policy step is halved, never below h_min
-                    h = max(0.5 * h, cfg.h_min)
-                    continue
-                if h_stable is None:
-                    # with no growing mode, a rejected step is the scheme
-                    # overshooting a stable mode, not a blow-up: the step
-                    # may then shrink below h_min, down to the stable scale
-                    if grow is None:
-                        grow = _growth(J)
-                    h_stable = _stable_scale(J, grow)
-                # halve, or go straight to twice the stable scale from far above
-                if 2.0 * h_stable < 0.5 * h:
-                    h, cut = 2.0 * h_stable, True
-                else:
-                    h = 0.5 * h
-                h_floor = min(cfg.h_min, h_stable)
-                if h < h_floor or t + h == t:
+                # a rejected policy step is halved: an inaccurate one down
+                # to h_min, any other below it, where the run fails
+                h = max(0.5 * h, cfg.h_min) if coarse else 0.5 * h
+                if h < cfg.h_min or t + h == t:
                     raise SimulationError(
                         "no step of at least %g keeps the state %s at t=%g "
-                        "positive, finite and accurate" % (h_floor, x, t)
+                        "finite and accurate" % (cfg.h_min, x, t)
                     )
             lengthened += longer
             stalled = stalled + 1 if h < _STALL_FRACTION * abs(t) else 0
@@ -656,10 +600,6 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             flagged = flagged or ahead
             G0, dG0, h_prev = G1, dG1, h
             hists = (hists[1], hist1)
-            if cut:
-                carry, span = span, 2 * span
-            elif not carried:
-                span = 1
             nodes.append(t, x, F0)
 
     return Trajectory(*(a[:nodes.N].copy() for a in (nodes.ts, nodes.xs, nodes.fs)),

@@ -228,6 +228,19 @@ def cooperative_signs(F: PolyMap) -> bool:
     return not np.any((F.C < 0) & cross)
 
 
+def _sampled_jacobians(F: PolyMap, rng, off_diagonal) -> Verdict:
+    """Refuted, with (i, j, x), at the first sampled x where entry (i, j) of
+    F's Jacobian, off its diagonal if off_diagonal, is below -TOL_COOP."""
+    for x in _sample_points(rng, F.n):
+        J = jacobian(F, x)
+        if off_diagonal:
+            J = J - np.diag(np.diag(J))
+        if J.min() < -TOL_COOP:
+            i, j = np.unravel_index(np.argmin(J), J.shape)
+            return Verdict(REFUTED, witness=(int(i), int(j), x.copy()))
+    return Verdict(UNDECIDED)
+
+
 def check_cooperative(F: PolyMap, rng=None) -> Verdict:
     """Off-diagonal Jacobian nonnegativity on the open positive orthant.
 
@@ -236,27 +249,14 @@ def check_cooperative(F: PolyMap, rng=None) -> Verdict:
     """
     if cooperative_signs(F):
         return Verdict(CERTIFIED)
-    rng = rng or np.random.default_rng(0)
-    for x in _sample_points(rng, F.n):
-        J = jacobian(F, x)
-        off = J - np.diag(np.diag(J))
-        if off.min() < -TOL_COOP:
-            i, j = np.unravel_index(np.argmin(off), off.shape)
-            return Verdict(REFUTED, witness=(int(i), int(j), x.copy()))
-    return Verdict(UNDECIDED)
+    return _sampled_jacobians(F, rng or np.random.default_rng(0), True)
 
 
 def check_nondecreasing(G: PolyMap, rng=None) -> Verdict:
     """Componentwise monotonicity of G on the nonnegative orthant."""
     if np.all(G.C >= 0):
         return Verdict(CERTIFIED)
-    rng = rng or np.random.default_rng(1)
-    for x in _sample_points(rng, G.n):
-        J = jacobian(G, x)
-        if J.min() < -TOL_COOP:
-            i, j = np.unravel_index(np.argmin(J), J.shape)
-            return Verdict(REFUTED, witness=(int(i), int(j), x.copy()))
-    return Verdict(UNDECIDED)
+    return _sampled_jacobians(G, rng or np.random.default_rng(1), False)
 
 
 @dataclass(frozen=True)

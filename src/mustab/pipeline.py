@@ -210,8 +210,8 @@ def parse_system(text: str) -> SystemDocument:
     _require(_finite(r_star) and r_star > 0, "r_star",
              "expected a finite positive number")
     sim = obj.get("sim", {})
+    _require(isinstance(sim, dict), "sim", "expected an object")
     if sim:
-        _require(isinstance(sim, dict), "sim", "expected an object")
         _known(sim, ("t_start", "t_end", "rho", "h_min"), "sim")
         _require(_finite(sim.get("t_end")), "sim.t_end", "expected a finite number")
         for key in ("t_start", "rho", "h_min"):

@@ -383,9 +383,10 @@ def _make(spec, families, kind):
         if key not in spec:
             raise RateError("missing key %r" % key)
         v = spec[key]
-        # JSON true and false would pass as the numbers 1 and 0
-        if isinstance(v, bool) or (isinstance(v, list) and any(isinstance(u, bool) for u in v)):
-            raise RateError("%r must be a number, not a boolean" % key)
+        # JSON numbers (a list of them for a table), not true, false or strings
+        if not all(isinstance(u, (int, float)) and not isinstance(u, bool)
+                   for u in (v if fam == "table" and isinstance(v, list) else [v])):
+            raise RateError("%r must be a number" % key)
         args.append(v)
     return cls(*args)
 

@@ -351,7 +351,8 @@ class TestStiffSimulation:
     def test_stiff_scalar_all_stages(self, tmp_path):
         # x' = -1e4 x + 0.1 x(t - 1): from phi0 = 1 the state sits far above
         # its quasi-steady state 1e-5 x(t - 1), and the default steps are 10
-        # relaxation times; the step shrinks instead of failing the run
+        # relaxation times; their states are projected onto the orthant
+        # instead of failing the run
         obj = json.loads(scalar_doc([{"c": 0.1, "e": [1.0]}], 1.0))
         obj["f"] = [[{"c": -1e4, "e": [1.0]}]]
         obj["sim"]["t_end"] = 4.0
@@ -540,6 +541,25 @@ class TestCli:
         edit(obj)
         err = self.error_line(tmp_path, capsys, "all", json.dumps(obj))
         assert err.startswith("error: %s: " % field)
+
+    @pytest.mark.parametrize("sim", [0, None, False, [], "sim"])
+    def test_sim_must_be_an_object(self, tmp_path, capsys, sim):
+        obj = json.loads(small_doc())
+        obj["sim"] = sim
+        err = self.error_line(tmp_path, capsys, "check", json.dumps(obj))
+        assert err == "error: sim: expected an object\n"
+
+    @pytest.mark.parametrize("key, spec", [
+        ("tau_max", {"family": "bounded", "tau_max": "1"}),
+        ("q", {"family": "proportional", "q": "0.5"}),
+        ("tau_max", {"family": "bounded", "tau_max": None}),
+        ("tau", {"family": "table", "t": [3, 10, 100, 1000], "tau": [0, "1", 1, 1]}),
+    ])
+    def test_rate_parameter_must_be_a_number(self, tmp_path, capsys, key, spec):
+        obj = json.loads(small_doc())
+        obj["delay"] = spec
+        err = self.error_line(tmp_path, capsys, "check", json.dumps(obj))
+        assert err == "error: delay: '%s' must be a number\n" % key
 
     def test_zero_f_is_named(self, tmp_path, capsys):
         obj = json.loads(paper_text())

@@ -293,6 +293,13 @@ class TestFactories:
          "unknown key 'alpha'"),
         (make_delay, {"family": "table", "t": [0, 1, 2, 3], "tau": [True, 1, 1, 1]},
          "'tau' must be a number"),
+        # strings, null and lists outside a table are not numbers either
+        (make_delay, {"family": "bounded", "tau_max": "1"}, "'tau_max' must be a number"),
+        (make_delay, {"family": "proportional", "q": "0.5"}, "'q' must be a number"),
+        (make_delay, {"family": "bounded", "tau_max": None}, "'tau_max' must be a number"),
+        (make_delay, {"family": "bounded", "tau_max": [1.0]}, "'tau_max' must be a number"),
+        (make_mu, {"family": "table", "t": [1, 10, 100, 1000], "mu": [1, 2, "3", 4]},
+         "'mu' must be a number"),
     ])
     def test_spec_keys_checked(self, make, spec, message):
         with pytest.raises(RateError, match=message):
