@@ -5,8 +5,9 @@ Usage: mustab <stages> --input system.json --out outdir [--seed N]
 Stages are a comma- or space-separated subset of
 check, transform, criterion, simulate, fit, or the shorthand "all".
 Exit code 0 means every requested verdict passed, 1 means a check was
-inconclusive or refuted, 2 means the input or stage selection was invalid
-or the simulation failed (a blow-up, or too few nodes to fit a rate).
+inconclusive or refuted, 2 means the input, the stage selection or the seed
+was invalid, an output could not be written, or the simulation failed (a
+blow-up, or too few nodes to fit a rate).
 """
 
 from __future__ import annotations
@@ -56,12 +57,22 @@ def main(argv=None):
 
     try:
         stages = _parse_stages(args.stages)
-        with open(args.input) as fh:
-            text = fh.read()
+        if args.seed < 0:
+            raise DocumentError("--seed: expected a nonnegative integer, got %d" % args.seed)
+        try:
+            with open(args.input, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise DocumentError("--input: %s" % e) from None
+        except UnicodeDecodeError as e:
+            raise DocumentError("document: not UTF-8 (%s)" % e) from None
         doc = parse_system(text)
         report, traj, code = run_pipeline(doc, stages, seed=args.seed)
-        paths = emit_outputs(report, traj, args.out,
-                             mu=doc.mu if traj is not None else None)
+        try:
+            paths = emit_outputs(report, traj, args.out,
+                                 mu=doc.mu if traj is not None else None)
+        except OSError as e:
+            raise DocumentError("--out: %s" % e) from None
     except (OSError, DocumentError, RateError, SimulationError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

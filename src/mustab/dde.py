@@ -54,11 +54,16 @@ which _growth takes only when the bound reaches the pole.  A Jacobian
 that is not finite is a SimulationError.
 
 On n <= 6 vectors numpy's fixed cost per call exceeds the arithmetic, so
-the driver's scalars come from .tolist() and builtins, products take
-ndarray.dot and W = I/(gamma h) - J is inverted by the LAPACK gufunc that
-np.linalg.inv wraps, each rounding as numpy's calls would.  A NaN fails
-every test as under numpy's reductions (_extreme), and a singular W gives
-a NaN inverse, so a NaN state: a rejection.
+the driver's scalars come from .tolist() and builtins, and each of its
+values rounds as the plain numpy expression would.  f and g are evaluated
+on their nonzero exponents alone (fields.fast_evaluator), bitwise their
+dense tables.  The four lookups of a RODAS4 trial are one pass of bisect
+and Horner's rule on floats (_Nodes.lookup_rows).  A RODAS4 trial's stage
+rows are one product of (1, 1/h, h) with _ROWS4.  W = I/(gamma h) - J is
+inverted by the LAPACK gufunc that np.linalg.inv wraps, called without
+that wrapper's checks.  A NaN fails every test as under numpy's
+reductions (_extreme), and a singular W gives a NaN inverse, so a NaN
+state: a rejection.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# the gufunc np.linalg.inv calls, without that wrapper's per-call checks
+# the gufunc np.linalg.inv calls, without that wrapper's per-call checks;
+# W is always float64, so the gufunc finds its loop without a signature
 from numpy.linalg._umath_linalg import inv as _inv
 
 from .fields import (DilationMap, PolyMap, cooperative_signs, fast_evaluator,
@@ -264,6 +270,35 @@ class _Nodes:
         t0 = times[k - 1]
         return _cubic(self.cubics[k - 1], (d - t0) / (times[k] - t0)), False, d >= times[N - 1]
 
+    def lookup_rows(self, ds):
+        """lookup_one's states at the times ds, each raised to max(x, 0) as
+        np.maximum raises it, as the rows of one array; whether the last
+        lookup took the history; and whether any read at or past the last
+        node.  On Python floats, bitwise lookup_one's: bisect and Horner's
+        rule, with one interval's coefficient rows kept while the times
+        share it.  The history and a lone node take lookup_one."""
+        times, N = self.times, self.N
+        values, ahead, k_rows = [], False, 0
+        for d in ds:
+            if d <= times[0] or N == 1:
+                x, hist, past = self.lookup_one(d)
+                values += x.tolist()
+            else:
+                k = bisect_right(times, d, 1, N - 1)
+                if k != k_rows:
+                    if k > self.made:
+                        self._make()
+                    t0, t1, k_rows = times[k - 1], times[k], k
+                    # per component, its (x0, h f0, c2, c3)
+                    coeffs = self.cubics[k - 1].T.tolist()
+                s = (d - t0) / (t1 - t0)
+                values += [a + s * (b + s * (p + s * q)) for a, b, p, q in coeffs]
+                hist, past = False, d >= times[N - 1]
+            ahead = ahead or past
+        # np.maximum(v, 0.0) keeps a NaN, and gives +0.0 for -0.0
+        X = np.array([v if v > 0.0 or v != v else 0.0 for v in values])
+        return X.reshape(len(ds), -1), hist, ahead
+
     def _make(self):
         """The coefficients of every interval up to the last node, in one
         vectorised pass over those not yet made."""
@@ -315,7 +350,7 @@ def rodas3_step(x, F0, J, G1, Ft, h, f_eval):
     """One RODAS3 step of x' = f(x) + G(t) from x at t: F0 = f(x) + G(t),
     J the Jacobian of f at x, G1 = G(t + h), Ft the slope of G at t, and
     f_eval evaluates f.  Returns the new state and the estimate u4."""
-    Winv = _inv(_identity(len(x)) / (_GAMMA * h) - J, signature="d->d")
+    Winv = _inv(_identity(len(x)) / (_GAMMA * h) - J)
     u1 = Winv.dot(F0 + (0.5 * h) * Ft)
     u2 = Winv.dot(F0 + (4.0 / h) * u1 + (1.5 * h) * Ft)
     # stages 3 and 4 share G(t + h) + (u1 - u2)/h
@@ -353,16 +388,20 @@ def _stage_rows():
     """Stages 2 to 6 of RODAS4 as rows over the stack (u1, ..., u5, x,
     G(t + alpha_i h) for the four alpha_i of _ALPHA4, F_t): row 0 of stage i
     gives its state x + sum_j a_ij u_j, row 1 its forcing, G(t + alpha_i h)
-    + sum_j (c_ij/h) u_j + gamma_i h F_t.  Returned as three (5, 2, 11)
-    arrays, the part that is fixed and those that scale with 1/h and h."""
-    fixed, per_h, by_h = np.zeros((3, 5, 2, 11))
+    + sum_j (c_ij/h) u_j + gamma_i h F_t.  Returned as the three rows, each
+    (5, 2, 11) flattened, of the part that is fixed and those that scale
+    with 1/h and with h.  No entry has two nonzero parts, so the product of
+    (1, 1/h, h) with them, one BLAS call, rounds each entry once, as the
+    one nonzero part's product does."""
+    parts = np.zeros((3, 5, 2, 11))
+    fixed, per_h, by_h = parts
     for i, (a, c) in enumerate(zip(_A4, _C4)):
         fixed[i, 0, :len(a)] = a
         fixed[i, 0, 5] = 1.0
         fixed[i, 1, 6 + min(i, 3)] = 1.0
         per_h[i, 1, :len(c)] = c
         by_h[i, 1, 10] = _GAMMAS4[i]
-    return fixed, per_h, by_h
+    return parts.reshape(3, -1)
 
 
 _ROWS4 = _stage_rows()
@@ -379,11 +418,10 @@ def rodas4_step(x, F0, J, G, Ft, h, f_eval):
     J the Jacobian of f at x, G the rows G(t + alpha h) for the alpha of
     _ALPHA4, Ft the slope of G at t, and f_eval evaluates f.  Returns the
     new state and the estimate u6.  Each stage's state and forcing come
-    from one product of its two rows of _ROWS4 with the stack of the
-    stages before it, x, G and Ft."""
-    Winv = _inv(_identity(len(x)) / (_GAMMA4 * h) - J, signature="d->d")
-    fixed, per_h, by_h = _ROWS4
-    rows = fixed + (1.0 / h) * per_h + h * by_h
+    from one product of its two rows, _ROWS4 taken at h, with the stack of
+    the stages before it, x, G and Ft."""
+    Winv = _inv(_identity(len(x)) / (_GAMMA4 * h) - J)
+    rows = np.dot((1.0, 1.0 / h, h), _ROWS4).reshape(5, 2, 11)
     # zeros: a stage's rows are 0 on the stages not yet made
     U = np.zeros((11, len(x)))
     U[5], U[6:10], U[10] = x, G, Ft
@@ -422,10 +460,10 @@ def _serve_four(nodes, g_eval, h, ds, G0):
     G0; whether the lookup at t + h took the history; and whether any of
     the four read at or past the last node.  g is evaluated once, on the
     four rows."""
-    looks = [nodes.lookup_one(d) for d in ds]
-    G = g_eval(np.maximum([xd for xd, _, _ in looks], 0.0))
+    X, hist, ahead = nodes.lookup_rows(ds)
+    G = g_eval(X)
     dG = G - G0
-    return G, _SLOPE4.dot(dG) * (1.0 / h), dG[3], looks[3][1], any(a for _, _, a in looks)
+    return G, _SLOPE4.dot(dG) * (1.0 / h), dG[3], hist, ahead
 
 
 class _Breakpoints:

@@ -102,11 +102,31 @@ class PolyMap:
         made on first use, as most maps are never differentiated."""
         return np.ascontiguousarray(self.CK.T)
 
+    @cached_property
+    def runs(self):
+        """The table's nonzero exponents, term by term, as (columns,
+        exponents, starts): term t is the product of x[columns[s]] **
+        exponents[s] for s from starts[t] to the next term's start.  The
+        factors left out are x_j**0 = 1, so each product, taken left to
+        right as multiply.reduce takes the dense row, keeps its bits.  A
+        term with no nonzero exponent keeps column 0.  Made on first use:
+        about 10 us, which a map evaluated a few times does not win back."""
+        nz = self.E != 0.0
+        nz[:, 0] |= ~nz.any(axis=1)
+        if self.n > 1 and nz.sum() == 1:
+            # numpy raises a lone element to 2, 0.5 or -1 as x*x, sqrt(x)
+            # or 1/x, not by the pow loop that serves the dense row: a
+            # second factor of 1 keeps that loop
+            nz[0, :2] = True
+        t, j = np.nonzero(nz)
+        return j, self.E[t, j], np.flatnonzero(np.diff(t, prepend=-1))
+
     def __call__(self, x):
         """F at a point (n,) or at each row of a batch (m, n); 0**0 is 1.
 
-        The integrator calls this about a million times per long run, so it
-        takes multiply.reduce and ndarray.dot: np.prod and @, cheaper per call.
+        The dense table serves batches and one-off points; the integrator
+        takes fast_evaluator, on the runs.  multiply.reduce and ndarray.dot
+        cost less per call than np.prod and @.
         """
         return np.multiply.reduce(x[..., None, :] ** self.E, axis=-1).dot(self.CK)
 
@@ -136,12 +156,21 @@ class PolyMap:
         return len(self.C) == 0
 
 
-def fast_evaluator(F: PolyMap) -> PolyMap:
-    """F itself, once its exponents are known to be nonnegative, so the
-    integrator can call it without validation."""
+def fast_evaluator(F: PolyMap):
+    """F as the integrator calls it, at a point (n,) or rows (m, n), with
+    no validation: each term's product on F.runs, bitwise F(x) with fewer
+    powers (each term of the reference system, n = 2, has one or two
+    nonzero exponents).  F's exponents must be nonnegative."""
     if F.min_exponent < 0:
         raise FieldError("fast evaluation requires nonnegative exponents")
-    return F
+    cols, e, starts = F.runs
+    CK, reduceat = F.CK, np.multiply.reduceat
+
+    def evaluate(x):
+        # indexing gathers a point's factors fastest, take a batch's
+        return reduceat((x[cols] if x.ndim == 1 else x.take(cols, 1)) ** e,
+                        starts, -1).dot(CK)
+    return evaluate
 
 
 def eval_field(F: PolyMap, x) -> np.ndarray:
@@ -160,21 +189,25 @@ def eval_field(F: PolyMap, x) -> np.ndarray:
 
 
 def jacobian(F: PolyMap, x) -> np.ndarray:
-    """Exact analytic Jacobian at a strictly positive point."""
+    """Exact analytic Jacobian at a strictly positive point, from the dense
+    table as F(x) takes it: a one-off point does not pay for F.runs."""
     x = np.asarray(x, dtype=float)
     if x.shape != (F.n,):
         raise FieldError("point of shape %r, expected (%d,)" % (x.shape, F.n))
     if np.any(x <= 0.0):
         raise FieldError("jacobian requires a strictly positive point")
-    return field_and_jacobian(F, x)[1]
+    P = np.multiply.reduce(x[None, :] ** F.E, axis=-1)
+    # d/dx_j of c*prod x^a = a_j * value / x_j, exact for x_j > 0
+    return (F.CKT * P).dot(F.E) / x
 
 
 def field_and_jacobian(F: PolyMap, x):
-    """F(x) and its exact Jacobian from one table of x**E, unchecked: x is
-    a strictly positive point (n,), such as an integrator's state.  The
-    table is laid out as in PolyMap.__call__, so F(x) is bitwise the same."""
-    P = np.multiply.reduce(x[None, :] ** F.E, axis=-1)
-    # d/dx_j of c*prod x^a = a_j * value / x_j, exact for x_j > 0
+    """F(x) and its exact Jacobian from one product per term, unchecked: x
+    is a strictly positive point (n,), such as an integrator's state.  The
+    products are taken on F.runs, as fast_evaluator takes them, so F(x)
+    and the Jacobian are bitwise F's and jacobian's."""
+    cols, e, starts = F.runs
+    P = np.multiply.reduceat(x[cols] ** e, starts)
     return P.dot(F.CK), (F.CKT * P).dot(F.E) / x
 
 

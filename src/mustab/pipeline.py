@@ -408,16 +408,14 @@ def emit_outputs(report: RunReport, traj, out_dir, mu=None):
     """Write report.json, trajectory.csv and rateplot.csv into out_dir.
 
     rateplot.csv holds ln mu(t) against ln x_j(t) restricted to strictly
-    positive states, i.e. the data of a decay-rate plot.
+    positive states, i.e. the data of a decay-rate plot.  A file that
+    cannot be written raises OSError.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     rpath = os.path.join(out_dir, "report.json")
-    try:
-        with open(rpath, "w") as fh:
-            json.dump(_strict(report.to_dict()), fh, indent=2, allow_nan=False)
-    except OSError as e:
-        raise RuntimeError("cannot write %s: %s" % (rpath, e)) from None
+    with open(rpath, "w") as fh:
+        json.dump(_strict(report.to_dict()), fh, indent=2, allow_nan=False)
     paths.append(rpath)
     if traj is not None:
         tpath = os.path.join(out_dir, "trajectory.csv")

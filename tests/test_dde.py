@@ -329,13 +329,13 @@ class TestStep:
         assert not dde._extreme(min, x1.tolist()) >= 0.0
 
     def test_inverse_is_numpys_bit_for_bit(self):
-        # the inverse rodas3_step takes is the gufunc np.linalg.inv wraps,
+        # the inverse the Rosenbrock steps take is the gufunc np.linalg.inv wraps,
         # on matrices n = 1..6 scaled across 16 decades
         rng = np.random.default_rng(23)
         for n in range(1, 7):
             for _ in range(2000):
                 W = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8.0, 8.0)
-                assert np.array_equal(dde._inv(W, signature="d->d"), np.linalg.inv(W))
+                assert np.array_equal(dde._inv(W), np.linalg.inv(W))
 
 
 # rodas.f (Hairer & Wanner), METH = 1, transcribed apart from dde: stage i
@@ -405,6 +405,15 @@ class TestRodas4:
                 # a few ulps of the largest term summed into them
                 for a, w in zip(got, want):
                     assert np.abs(a - w).max() <= 8.0 * np.spacing(top)
+
+    def test_stage_rows_are_the_three_parts_summed(self):
+        # one product of (1, 1/h, h) with the stacked parts, bitwise the
+        # sum of the fixed part and those scaled by 1/h and by h
+        assert ((dde._ROWS4 != 0).sum(axis=0) <= 1).all()
+        fixed, per_h, by_h = dde._ROWS4
+        for h in 10.0 ** np.random.default_rng(25).uniform(-3.0, 12.0, 2000):
+            assert np.array_equal(np.dot((1.0, 1.0 / h, h), dde._ROWS4),
+                                  fixed + (1.0 / h) * per_h + h * by_h)
 
     # x' = -x - x^2/2 + G(t) from x(0) = 1
     F = PolyMap(1, [[(-1.0, (1.0,)), (-0.5, (2.0,))]])
@@ -583,9 +592,10 @@ def paper_system():
 
 
 @st.composite
-def nodes_and_time(draw):
+def nodes_and_time(draw, count=None):
     """A node store of 1 to 6 nodes in n <= 3, and a delayed time at or
-    before the first node, on a node, inside an interval or past the last."""
+    before the first node, on a node, inside an interval or past the last;
+    a list of count such times when count is given."""
     N = draw(st.integers(1, 6))
     n = draw(st.integers(1, 3))
     values = st.floats(-10.0, 10.0)
@@ -596,20 +606,30 @@ def nodes_and_time(draw):
     nodes = dde._Nodes(ts[0], xs[0], fs[0], history)
     for k in range(1, N):
         nodes.append(ts[k], xs[k], fs[k])
-    kind = draw(st.sampled_from(("before", "first", "node", "inside", "past")))
-    k = draw(st.integers(0, N - 1))
-    if kind == "before":
-        d = ts[0] - draw(st.floats(1e-6, 10.0))
-    elif kind == "first":
-        d = ts[0]
-    elif kind == "node":
-        d = ts[k]
-    elif kind == "inside" and N > 1:
-        k = min(k, N - 2)
-        d = ts[k] + draw(st.floats(0.0, 1.0)) * (ts[k + 1] - ts[k])
-    else:
-        d = ts[-1] + draw(st.floats(0.0, 10.0))
-    return nodes, float(d)
+
+    def delayed_time():
+        kind = draw(st.sampled_from(("before", "first", "node", "inside", "past")))
+        k = draw(st.integers(0, N - 1))
+        if kind == "before":
+            d = ts[0] - draw(st.floats(1e-6, 10.0))
+        elif kind == "first":
+            d = ts[0]
+        elif kind == "node":
+            d = ts[k]
+        elif kind == "inside" and N > 1:
+            k = min(k, N - 2)
+            d = ts[k] + draw(st.floats(0.0, 1.0)) * (ts[k + 1] - ts[k])
+        else:
+            d = ts[-1] + draw(st.floats(0.0, 10.0))
+        return float(d)
+    return nodes, delayed_time() if count is None else [delayed_time() for _ in range(count)]
+
+
+def rows_by_lookup_one(nodes, ds):
+    """_Nodes.lookup_rows as one lookup_one per time, raised by np.maximum."""
+    looks = [nodes.lookup_one(d) for d in ds]
+    return (np.maximum([x for x, _, _ in looks], 0.0), looks[-1][1],
+            any(ahead for _, _, ahead in looks))
 
 
 def hermite_one(ts, xs, fs, d, history):
@@ -651,6 +671,27 @@ class TestLookupOne:
         if 0 < k < N - 1 and d == nodes.ts[k]:
             # s = 0 at a node inside the store: the node's state itself
             assert np.array_equal(x, nodes.xs[k])
+
+    @given(nodes_and_time(count=4))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_are_lookup_ones(self, case):
+        # a RODAS4 trial's four times in one pass, made first on the store
+        nodes, ds = case
+        X, hist, ahead = nodes.lookup_rows(ds)
+        want, want_hist, want_ahead = rows_by_lookup_one(nodes, ds)
+        assert np.array_equal(X, want) and np.array_equal(np.signbit(X), np.signbit(want))
+        assert (hist, ahead) == (want_hist, want_ahead)
+
+    def test_rows_raise_negative_zero_as_numpy(self):
+        # at its node a state -0.0 with a falling slope is read as -0.0,
+        # which np.maximum raises to +0.0, and so must the rows
+        nodes = dde._Nodes(0.0, np.ones(1), np.zeros(1), np.ones(1))
+        nodes.append(1.0, np.array([-0.0]), np.array([-1.0]))
+        nodes.append(2.0, np.ones(1), np.zeros(1))
+        assert np.signbit(nodes.lookup_one(1.0)[0][0])
+        X, _, _ = nodes.lookup_rows([1.0, 0.5])
+        assert np.array_equal(X, rows_by_lookup_one(nodes, [1.0, 0.5])[0])
+        assert X[0, 0] == 0.0 and not np.signbit(X).any()
 
     def test_lookup_behind_the_made_intervals_makes_none(self, monkeypatch):
         ts = np.arange(6.0)
@@ -827,9 +868,22 @@ class TestTrialOnFloats:
     def test_trajectory_is_numpys(self, monkeypatch, case):
         f, g, delay, phi0, cfg = self.CASES[case]
         fast = simulate(f, g, delay, HistorySpec(np.array(phi0)), cfg)
-        monkeypatch.setattr(dde, "_inv", lambda W, signature: np.linalg.inv(W))
+        monkeypatch.setattr(dde, "_inv", lambda W: np.linalg.inv(W))
         monkeypatch.setattr(dde, "_err_norm", numpy_err_norm)
         monkeypatch.setattr(dde, "_growth_bound", numpy_growth_bound)
+        ref = simulate(f, g, delay, HistorySpec(np.array(phi0)), cfg)
+        for a, b in ((fast.ts, ref.ts), (fast.xs, ref.xs), (fast.fs, ref.fs)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_trajectory_is_the_dense_tables(self, monkeypatch, case):
+        # f and g evaluated on their dense tables, and a RODAS4 trial's
+        # four lookups as one lookup_one each (all cases but the
+        # cooperative one take RODAS4 steps)
+        f, g, delay, phi0, cfg = self.CASES[case]
+        fast = simulate(f, g, delay, HistorySpec(np.array(phi0)), cfg)
+        monkeypatch.setattr(dde, "fast_evaluator", lambda F: F)
+        monkeypatch.setattr(dde._Nodes, "lookup_rows", rows_by_lookup_one)
         ref = simulate(f, g, delay, HistorySpec(np.array(phi0)), cfg)
         for a, b in ((fast.ts, ref.ts), (fast.xs, ref.xs), (fast.fs, ref.fs)):
             assert np.array_equal(a, b)

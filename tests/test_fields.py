@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import hypothesis.extra.numpy as hnp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,27 @@ class TestPolyMap:
         assert np.allclose(eval_field(paper_g(), np.ones(2)), [1.0, 2.0])
 
 
+# exponents numpy raises a lone element to by shortcuts (0, 1, 2 as x*x,
+# 0.5 as sqrt) and others, which only its pow loop takes
+EXPONENTS = st.sampled_from([0.0, 0.0, 1.0, 2.0, 0.5, 3.0]) | st.floats(0.0, 4.0)
+
+
+@st.composite
+def maps_and_rows(draw):
+    """A map of n = 1..6 with up to 6 terms, some constant, and 1 to 8
+    rows of points with zero components."""
+    n = draw(st.integers(1, 6))
+    comps = [[] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        e = draw(st.lists(EXPONENTS, min_size=n, max_size=n) | st.just([0.0] * n))
+        c = draw(st.floats(-10.0, 10.0).filter(bool))
+        comps[draw(st.integers(0, n - 1))].append((c, e))
+    F = PolyMap(n, comps)
+    X = draw(hnp.arrays(float, (draw(st.integers(1, 8)), n),
+                        elements=st.just(0.0) | st.floats(1e-3, 1e3)))
+    return F, X
+
+
 class TestFastEvaluator:
     def test_matches_reference(self):
         rng = np.random.default_rng(3)
@@ -100,6 +122,29 @@ class TestFastEvaluator:
         F = PolyMap(1, [[(1.0, (-1.0,))]], allow_negative_exponents=True)
         with pytest.raises(FieldError):
             fast_evaluator(F)
+
+    @given(maps_and_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_runs_are_the_dense_table_bitwise(self, case):
+        F, X = case
+        fe = fast_evaluator(F)
+        assert np.array_equal(fe(X), F(X))
+        for x in X:
+            assert np.array_equal(fe(x), F(x))
+        # field_and_jacobian's products are the runs'; x strictly positive
+        x = np.where(X[0] > 0.0, X[0], 0.5)
+        P = np.multiply.reduce(x ** F.E, axis=-1)
+        value, J = field_and_jacobian(F, x)
+        assert np.array_equal(value, P.dot(F.CK))
+        assert np.array_equal(J, (F.CKT * P).dot(F.E) / x)
+
+    def test_lone_factor_keeps_the_pow_loop(self):
+        # numpy squares a lone element as x*x, the dense row by pow, and
+        # the two differ in the last bit on about 5% of points
+        x = np.random.default_rng(8).uniform(0.0, 5.0, size=(1000, 3))
+        for e in ((2.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)):
+            F = PolyMap(3, [[], [(1.5, e)], []])
+            assert np.array_equal(fast_evaluator(F)(x), F(x))
 
 
 class TestBatchEvaluation:

@@ -391,6 +391,7 @@ class TestCli:
         code, _ = self.run_cli(tmp_path, "check", "--input",
                                str(tmp_path / "absent.json"))
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: --input: ")
 
     def run_failing_simulation(self, tmp_path, capsys, **overrides):
         doc_path = tmp_path / "sys.json"
@@ -484,11 +485,15 @@ class TestCli:
         edit(obj)
         assert self.error_line(tmp_path, capsys, "all", json.dumps(obj)) == "error: %s\n" % message
 
-    def error_line(self, tmp_path, capsys, stages, text):
-        """The one line on stderr of a run that must exit 2 on the document."""
+    def error_line(self, tmp_path, capsys, stages, text, *options):
+        """The one line on stderr of a run that must exit 2 on the document
+        (str, or bytes written as they are) and the options."""
         doc_path = tmp_path / "sys.json"
-        doc_path.write_text(text)
-        code, _ = self.run_cli(tmp_path, *stages.split(), "--input", str(doc_path))
+        if isinstance(text, bytes):
+            doc_path.write_bytes(text)
+        else:
+            doc_path.write_text(text)
+        code, _ = self.run_cli(tmp_path, *stages.split(), "--input", str(doc_path), *options)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -560,6 +565,21 @@ class TestCli:
         obj["delay"] = spec
         err = self.error_line(tmp_path, capsys, "check", json.dumps(obj))
         assert err == "error: delay: '%s' must be a number\n" % key
+
+    def test_document_must_be_utf8(self, tmp_path, capsys):
+        # a Latin-1 o-umlaut in a string: no UTF-8 byte sequence
+        text = small_doc().encode()[:-1] + b', "\xf6": 1}'
+        err = self.error_line(tmp_path, capsys, "check", text)
+        assert err.startswith("error: document: not UTF-8 (")
+
+    def test_unwritable_report_names_out(self, tmp_path, capsys):
+        os.makedirs(tmp_path / "out" / "report.json")
+        err = self.error_line(tmp_path, capsys, "check", small_doc())
+        assert err.startswith("error: --out: ") and "report.json" in err
+
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        err = self.error_line(tmp_path, capsys, "check", small_doc(), "--seed", "-1")
+        assert err == "error: --seed: expected a nonnegative integer, got -1\n"
 
     def test_zero_f_is_named(self, tmp_path, capsys):
         obj = json.loads(paper_text())
