@@ -182,10 +182,16 @@ def _cubics(ts, xs, fs, out):
     return out
 
 
+def _horner(coeffs, s):
+    """Each component's cubic at s, coeffs its (x0, h f0, c2, c3), by
+    Horner's rule on Python floats, which round as numpy's operations on
+    the coefficient rows do."""
+    return [a + s * (b + s * (p + s * q)) for a, b, p, q in coeffs]
+
+
 def _cubic(c, s):
-    """The cubic with coefficient rows c (4, n) at s, by Horner's rule on
-    Python floats, which round as numpy's operations on the rows do."""
-    return np.array([a + s * (b + s * (p + s * q)) for a, b, p, q in zip(*c.tolist())])
+    """The cubic with coefficient rows c (4, n) at s."""
+    return np.array(_horner(zip(*c.tolist()), s))
 
 
 class Trajectory:
@@ -263,41 +269,40 @@ class _Nodes:
         N = self.N
         if N == 1:
             return self.xs[0] + (d - times[0]) * self.fs[0], False, True
-        # node k - 1 starts d's interval
-        k = bisect_right(times, d, 1, N - 1)
-        if k > self.made:
-            self._make()
+        k = self._interval(d)
         t0 = times[k - 1]
         return _cubic(self.cubics[k - 1], (d - t0) / (times[k] - t0)), False, d >= times[N - 1]
 
     def lookup_rows(self, ds):
-        """lookup_one's states at the times ds, each raised to max(x, 0) as
-        np.maximum raises it, as the rows of one array; whether the last
-        lookup took the history; and whether any read at or past the last
-        node.  On Python floats, bitwise lookup_one's: bisect and Horner's
-        rule, with one interval's coefficient rows kept while the times
+        """lookup_one's states at the times ds, raised to 0 by np.maximum,
+        as the rows of one array; whether the last lookup took the history;
+        and whether any read at or past the last node.  Bitwise lookup_one's,
+        with one interval's coefficients kept as floats while the times
         share it.  The history and a lone node take lookup_one."""
         times, N = self.times, self.N
-        values, ahead, k_rows = [], False, 0
+        values, ahead, k_coeffs = [], False, 0
         for d in ds:
             if d <= times[0] or N == 1:
                 x, hist, past = self.lookup_one(d)
                 values += x.tolist()
             else:
-                k = bisect_right(times, d, 1, N - 1)
-                if k != k_rows:
-                    if k > self.made:
-                        self._make()
-                    t0, t1, k_rows = times[k - 1], times[k], k
-                    # per component, its (x0, h f0, c2, c3)
+                k = self._interval(d)
+                if k != k_coeffs:
+                    t0, t1, k_coeffs = times[k - 1], times[k], k
                     coeffs = self.cubics[k - 1].T.tolist()
-                s = (d - t0) / (t1 - t0)
-                values += [a + s * (b + s * (p + s * q)) for a, b, p, q in coeffs]
+                values += _horner(coeffs, (d - t0) / (t1 - t0))
                 hist, past = False, d >= times[N - 1]
             ahead = ahead or past
-        # np.maximum(v, 0.0) keeps a NaN, and gives +0.0 for -0.0
-        X = np.array([v if v > 0.0 or v != v else 0.0 for v in values])
-        return X.reshape(len(ds), -1), hist, ahead
+        return np.maximum(np.array(values).reshape(len(ds), -1), 0.0), hist, ahead
+
+    def _interval(self, d):
+        """k such that nodes k - 1 and k bound the interval of a time d past
+        the first of two nodes at least, the last interval extended past the
+        last node; its coefficients are made."""
+        k = bisect_right(self.times, d, 1, self.N - 1)
+        if k > self.made:
+            self._make()
+        return k
 
     def _make(self):
         """The coefficients of every interval up to the last node, in one

@@ -109,8 +109,9 @@ class PolyMap:
         exponents[s] for s from starts[t] to the next term's start.  The
         factors left out are x_j**0 = 1, so each product, taken left to
         right as multiply.reduce takes the dense row, keeps its bits.  A
-        term with no nonzero exponent keeps column 0.  Made on first use:
-        about 10 us, which a map evaluated a few times does not win back."""
+        term with no nonzero exponent keeps column 0.  Made on first use,
+        in about 10 us, which __call__ on a map evaluated a few times would
+        not win back."""
         nz = self.E != 0.0
         nz[:, 0] |= ~nz.any(axis=1)
         if self.n > 1 and nz.sum() == 1:
@@ -189,25 +190,23 @@ def eval_field(F: PolyMap, x) -> np.ndarray:
 
 
 def jacobian(F: PolyMap, x) -> np.ndarray:
-    """Exact analytic Jacobian at a strictly positive point, from the dense
-    table as F(x) takes it: a one-off point does not pay for F.runs."""
+    """Exact analytic Jacobian at a strictly positive point."""
     x = np.asarray(x, dtype=float)
     if x.shape != (F.n,):
         raise FieldError("point of shape %r, expected (%d,)" % (x.shape, F.n))
     if np.any(x <= 0.0):
         raise FieldError("jacobian requires a strictly positive point")
-    P = np.multiply.reduce(x[None, :] ** F.E, axis=-1)
-    # d/dx_j of c*prod x^a = a_j * value / x_j, exact for x_j > 0
-    return (F.CKT * P).dot(F.E) / x
+    return field_and_jacobian(F, x)[1]
 
 
 def field_and_jacobian(F: PolyMap, x):
     """F(x) and its exact Jacobian from one product per term, unchecked: x
     is a strictly positive point (n,), such as an integrator's state.  The
     products are taken on F.runs, as fast_evaluator takes them, so F(x)
-    and the Jacobian are bitwise F's and jacobian's."""
+    is bitwise the dense table's."""
     cols, e, starts = F.runs
     P = np.multiply.reduceat(x[cols] ** e, starts)
+    # d/dx_j of c*prod x^a = a_j * value / x_j, exact for x_j > 0
     return P.dot(F.CK), (F.CKT * P).dot(F.E) / x
 
 

@@ -682,17 +682,6 @@ class TestLookupOne:
         assert np.array_equal(X, want) and np.array_equal(np.signbit(X), np.signbit(want))
         assert (hist, ahead) == (want_hist, want_ahead)
 
-    def test_rows_raise_negative_zero_as_numpy(self):
-        # at its node a state -0.0 with a falling slope is read as -0.0,
-        # which np.maximum raises to +0.0, and so must the rows
-        nodes = dde._Nodes(0.0, np.ones(1), np.zeros(1), np.ones(1))
-        nodes.append(1.0, np.array([-0.0]), np.array([-1.0]))
-        nodes.append(2.0, np.ones(1), np.zeros(1))
-        assert np.signbit(nodes.lookup_one(1.0)[0][0])
-        X, _, _ = nodes.lookup_rows([1.0, 0.5])
-        assert np.array_equal(X, rows_by_lookup_one(nodes, [1.0, 0.5])[0])
-        assert X[0, 0] == 0.0 and not np.signbit(X).any()
-
     def test_lookup_behind_the_made_intervals_makes_none(self, monkeypatch):
         ts = np.arange(6.0)
         nodes = dde._Nodes(ts[0], np.ones(2), np.zeros(2), np.ones(2))
