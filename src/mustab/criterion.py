@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import TOL_HOM, DilationMap, FieldError, PolyMap, eval_field
+# eval_field stays a name of this module, which benchmark/tracing.py wraps
+from .fields import TOL_HOM, DilationMap, FieldError, PolyMap, eval_field  # noqa: F401
 from .rates import (
     BoundedDelay,
     DelayFunction,
@@ -130,7 +131,8 @@ def criterion_margins(fbar: PolyMap, gbar: PolyMap, xi, r: DilationMap,
     The r_star = 1 case is the base theorem's inequality verbatim.  L and D
     may be arrays, one row of margins each; a non-finite L, D or
     L**((p+1)/r_star), or a sum of the three that overflows, gives its row
-    infinite margins.
+    infinite margins, and a margin that is not finite, as where fbar or
+    gbar overflows at xi, is infinite.
 
     bound_j is at least the rounding error of the computed margin_j from
     these float inputs (Higham, Accuracy and Stability of Numerical
@@ -153,14 +155,14 @@ def criterion_margins(fbar: PolyMap, gbar: PolyMap, xi, r: DilationMap,
     L = np.asarray(limits.L, dtype=float)[()]
     D = np.asarray(limits.D, dtype=float)[()]
     w = r_star / np.asarray(r.r)
-    fb = eval_field(fbar, xi) / xi
-    gb = eval_field(gbar, xi) / xi
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fb = fbar(xi) / xi
+        gb = gbar(xi) / xi
         Lfac = L ** ((float(p) + 1.0) / r_star)
         m = w * (fb + Lfac[..., None] * gb) + D[..., None]
         # also fails a row whose finite L, D and Lfac overflow in the sum:
         # no certificate rests on limits that far out of range
-        ok = np.isfinite(L + D + Lfac)
+        ok = np.isfinite(L + D + Lfac)[..., None] & np.isfinite(m)
         fa, ga = (np.multiply.reduce(xi ** F.E, axis=-1).dot(np.abs(F.CK)) / xi
                   for F in (fbar, gbar))
         u = np.finfo(float).eps / 2.0

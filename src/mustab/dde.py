@@ -42,28 +42,28 @@ makes each step's estimate far exceed the state: the guard rejects every
 step down to h_min, and the run fails.
 
 rodas3_step and rodas4_step each make one step from given forcing values.
-_Nodes keeps the nodes in arrays that double when full, and the cubic
-Hermite coefficients of the intervals between them, made in one pass
-whenever a lookup reads past those made; Trajectory.sample evaluates the
-same coefficients.  simulate is the driver.  A run whose accepted steps
-stay below _STALL_FRACTION of |t| for _STALL_STEPS steps in a row is a
-SimulationError naming t, not a run that never ends.  The pole test takes
-Gershgorin's bound on the growth rate first (J's largest row sum when the
-sign pattern of f makes J Metzler), never below the growth rate itself,
-which _growth takes only when the bound reaches the pole.  A Jacobian
-that is not finite is a SimulationError.
+The Trajectory that simulate returns is the node store it appends to, with
+the cubic Hermite coefficients of its intervals, made in one pass whenever
+a lookup reads past those made.  Its one lookup, lookup_rows, serves every
+trial, and Trajectory.sample evaluates the same coefficients.  simulate is
+the driver.  A run whose accepted steps stay below _STALL_FRACTION of |t|
+for _STALL_STEPS steps in a row is a SimulationError naming t, not a run
+that never ends.  The pole test takes Gershgorin's bound on the growth
+rate first (J's largest row sum when the sign pattern of f makes J
+Metzler), never below the growth rate itself, which _growth takes only
+when the bound reaches the pole.  A Jacobian that is not finite is a
+SimulationError.
 
 On n <= 6 vectors numpy's fixed cost per call exceeds the arithmetic, so
 the driver's scalars come from .tolist() and builtins, and each of its
 values rounds as the plain numpy expression would.  f and g are evaluated
 on their nonzero exponents alone (fields.fast_evaluator), bitwise their
-dense tables.  The four lookups of a RODAS4 trial are one pass of bisect
-and Horner's rule on floats (_Nodes.lookup_rows).  A RODAS4 trial's stage
-rows are one product of (1, 1/h, h) with _ROWS4.  W = I/(gamma h) - J is
-inverted by the LAPACK gufunc that np.linalg.inv wraps, called without
-that wrapper's checks.  A NaN fails every test as under numpy's
-reductions (_extreme), and a singular W gives a NaN inverse, so a NaN
-state: a rejection.
+dense tables.  A trial's lookups are one pass of bisect and Horner's rule
+on floats (Trajectory.lookup_rows).  A RODAS4 trial's stage rows are one
+product of (1, 1/h, h) with _ROWS4.  W = I/(gamma h) - J is inverted by
+the LAPACK gufunc that np.linalg.inv wraps, called without that wrapper's
+checks.  A NaN fails every test as under numpy's reductions (_extreme),
+and a singular W gives a NaN inverse, so a NaN state: a rejection.
 """
 
 from __future__ import annotations
@@ -189,102 +189,77 @@ def _horner(coeffs, s):
     return [a + s * (b + s * (p + s * q)) for a, b, p, q in coeffs]
 
 
-def _cubic(c, s):
-    """The cubic with coefficient rows c (4, n) at s."""
-    return np.array(_horner(zip(*c.tolist()), s))
-
-
 class Trajectory:
-    """Dense-output record: strictly increasing node times with states and
-    right-hand-side values (for cubic Hermite evaluation), how many of the
-    steps between them the estimate lengthened past the policy's (the
-    RODAS4 steps), and how many trials were rejected, by cause (a key of
-    REJECTIONS)."""
+    """Dense-output record and the integrator's node store: strictly
+    increasing node times with states and right-hand-side values in arrays
+    that double when full (ts, xs and fs are their first N rows), the
+    history before the first node, and the cubic Hermite coefficients of
+    the intervals between them, made up to the last node whenever a lookup
+    reads past those already made.  Also how many of the steps between the
+    nodes the estimate lengthened past the policy's (the RODAS4 steps), and
+    how many trials were rejected, by cause (a key of REJECTIONS)."""
 
     def __init__(self, ts, xs, fs, extrapolation_flagged=False, lengthened_steps=0,
-                 rejected=None):
-        self.ts = np.asarray(ts, dtype=float)
-        self.xs = np.asarray(xs, dtype=float)
-        self.fs = np.asarray(fs, dtype=float)
-        if np.any(np.diff(self.ts) <= 0):
+                 rejected=None, history=None):
+        ts, xs, fs = (np.asarray(a, dtype=float) for a in (ts, xs, fs))
+        if np.any(np.diff(ts) <= 0):
             raise SimulationError("node times must be strictly increasing")
-        if self.xs.ndim != 2 or len(self.xs) != len(self.ts) or self.fs.shape != self.xs.shape:
+        if xs.ndim != 2 or len(xs) != len(ts) or fs.shape != xs.shape:
             raise SimulationError("inconsistent trajectory shapes")
+        self._ts, self._xs, self._fs = ts, xs, fs
         self.extrapolation_flagged = bool(extrapolation_flagged)
         self.lengthened_steps = int(lengthened_steps)
         self.rejected = dict.fromkeys(REJECTIONS, 0) if rejected is None else dict(rejected)
+        self.history = history
+        self.N = len(ts)
+        # the times again, as floats, for bisect
+        self.times = ts.tolist()
+        self.cubics = np.empty((self.N, 4, xs.shape[1]))
+        self.made = 0
 
-    @property
-    def n(self):
-        return self.xs.shape[1]
+    ts = property(lambda self: self._ts[:self.N])
+    xs = property(lambda self: self._xs[:self.N])
+    fs = property(lambda self: self._fs[:self.N])
+    n = property(lambda self: self._xs.shape[1])
+
+    def append(self, t, x, F):
+        if self.N == len(self._ts):
+            self._ts, self._xs, self._fs, self.cubics = (
+                np.concatenate((a, np.empty_like(a)))
+                for a in (self._ts, self._xs, self._fs, self.cubics))
+        self._ts[self.N], self._xs[self.N], self._fs[self.N] = t, x, F
+        self.times.append(t)
+        self.N += 1
 
     def sample(self, t):
         """State at any time within [first node, last node], exact at nodes
         but the last, from the cubic of the interval around t."""
-        ts = self.ts
-        if t < ts[0] or t > ts[-1]:
-            raise SimulationError("sample time outside trajectory range")
-        if t == ts[0]:
-            return self.xs[0].copy()
-        k = ts[1:-1].searchsorted(t, side="right") + 1
-        t0 = ts[k - 1]
-        c = _cubics(ts[k - 1:k + 1], self.xs[k - 1:k + 1], self.fs[k - 1:k + 1],
-                    np.empty((1, 4, self.n)))[0]
-        return _cubic(c, (t - t0) / (ts[k] - t0))
-
-
-class _Nodes:
-    """The integrator's nodes (time, state, right-hand side) in arrays that
-    double when full, with the history before the first, and the cubic
-    coefficients of the intervals between them, made up to the last node
-    whenever a lookup reads past those already made."""
-
-    def __init__(self, t, x, F, history):
-        self.ts, self.xs, self.fs = np.array([t]), np.array([x]), np.array([F])
-        # the times again, as floats, for bisect
-        self.times = [t]
-        self.N = 1
-        self.cubics = np.empty((1, 4, len(x)))
-        self.made = 0
-        self.history = history
-
-    def append(self, t, x, F):
-        if self.N == len(self.ts):
-            self.ts, self.xs, self.fs, self.cubics = (
-                np.concatenate((a, np.empty_like(a)))
-                for a in (self.ts, self.xs, self.fs, self.cubics))
-        self.ts[self.N], self.xs[self.N], self.fs[self.N] = t, x, F
-        self.times.append(t)
-        self.N += 1
-
-    def lookup_one(self, d):
-        """The state at one time d: the history at and before the first
-        node; with one node, its linear extension; else the cubic of the
-        node interval around d, the last interval extended past the last
-        node.  Also whether it took the history, and whether d lies at or
-        past the last node without taking it."""
         times = self.times
-        if d <= times[0]:
-            return self.history, True, False
-        N = self.N
-        if N == 1:
-            return self.xs[0] + (d - times[0]) * self.fs[0], False, True
-        k = self._interval(d)
+        if t < times[0] or t > times[-1]:
+            raise SimulationError("sample time outside trajectory range")
+        if t == times[0]:
+            return self._xs[0].copy()
+        k = self._interval(t)
         t0 = times[k - 1]
-        return _cubic(self.cubics[k - 1], (d - t0) / (times[k] - t0)), False, d >= times[N - 1]
+        return np.array(_horner(self.cubics[k - 1].T.tolist(), (t - t0) / (times[k] - t0)))
 
     def lookup_rows(self, ds):
-        """lookup_one's states at the times ds, raised to 0 by np.maximum,
-        as the rows of one array; whether the last lookup took the history;
-        and whether any read at or past the last node.  Bitwise lookup_one's,
-        with one interval's coefficients kept as floats while the times
-        share it.  The history and a lone node take lookup_one."""
+        """The states at the times ds, raised to 0 by np.maximum, as the
+        rows of one array: the history at and before the first node; with
+        one node, its linear extension; else the cubic of the node interval
+        around the time, the last interval extended past the last node, its
+        coefficients kept as floats while the times share it.  Also whether
+        the last time took the history, and whether any read at or past the
+        last node without taking it."""
         times, N = self.times, self.N
         values, ahead, k_coeffs = [], False, 0
         for d in ds:
-            if d <= times[0] or N == 1:
-                x, hist, past = self.lookup_one(d)
-                values += x.tolist()
+            if d <= times[0]:
+                values += self.history.tolist()
+                hist, past = True, False
+            elif N == 1:
+                values += (self._xs[0] + (d - times[0]) * self._fs[0]).tolist()
+                hist, past = False, True
             else:
                 k = self._interval(d)
                 if k != k_coeffs:
@@ -308,7 +283,7 @@ class _Nodes:
         """The coefficients of every interval up to the last node, in one
         vectorised pass over those not yet made."""
         M, N = self.made, self.N
-        _cubics(self.ts[M:N], self.xs[M:N], self.fs[M:N], self.cubics[M:N - 1])
+        _cubics(self._ts[M:N], self._xs[M:N], self._fs[M:N], self.cubics[M:N - 1])
         self.made = N - 1
 
 
@@ -439,7 +414,7 @@ def rodas4_step(x, F0, J, G, Ft, h, f_eval):
     return y + u6, u6
 
 
-def _serve_one(nodes, g_eval, h, d, G0, dG0, h_prev, kink):
+def _serve_one(traj, g_eval, h, d, G0, dG0, h_prev, kink):
     """The forcing G1 = g(x(d)) at the end of a step h whose delayed time is
     d, its slope at the step's start, G1 - G0, whether the lookup took the
     history, and whether it read at or past the last node.  G0 is the
@@ -447,8 +422,8 @@ def _serve_one(nodes, g_eval, h, d, G0, dG0, h_prev, kink):
     step between them, and kink whether the forcing there took the
     history: the slope then takes the step alone, else the parabola through
     the three."""
-    xd, hist, ahead = nodes.lookup_one(d)
-    G1 = g_eval(np.maximum(xd, 0.0))
+    X, hist, ahead = traj.lookup_rows((d,))
+    G1 = g_eval(X[0])
     dG = G1 - G0
     if kink:
         return G1, dG / h, dG, hist, ahead
@@ -458,14 +433,14 @@ def _serve_one(nodes, g_eval, h, d, G0, dG0, h_prev, kink):
     return G1, dG * (1.0 / (r * hh)) + dG0 * (r / hh), dG, hist, ahead
 
 
-def _serve_four(nodes, g_eval, h, ds, G0):
+def _serve_four(traj, g_eval, h, ds, G0):
     """The forcing rows G = g(x(d)) at the times t + alpha h of a RODAS4
     step h, alpha in _ALPHA4, whose delayed times are ds; their slope at
     t, from the quartic through G0, the forcing at t, and them; G(t + h) -
     G0; whether the lookup at t + h took the history; and whether any of
     the four read at or past the last node.  g is evaluated once, on the
     four rows."""
-    X, hist, ahead = nodes.lookup_rows(ds)
+    X, hist, ahead = traj.lookup_rows(ds)
     G = g_eval(X)
     dG = G - G0
     return G, _SLOPE4.dot(dG) * (1.0 / h), dG[3], hist, ahead
@@ -532,7 +507,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
         G0 = g_eval(np.maximum(phi0, 0.0))
         F0, J = _field_jacobian(f, f_eval, x, np.minimum.reduce(x))
         F0 += G0
-        nodes = _Nodes(t, x, F0, phi0)
+        traj = Trajectory([t], [x], [F0], history=phi0)
         # the forcing's rise into the last node, whether the forcing at the
         # last two nodes took the history, and the step between them: the
         # first two unused while the slope takes the history's kink
@@ -547,7 +522,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
         q = 3
         breaks = _Breakpoints(delay, t)
         lengthened = 0
-        rejected = dict.fromkeys(REJECTIONS, 0)
+        rejected = traj.rejected
         # accepted steps in a row below _STALL_FRACTION of |t|
         stalled = 0
 
@@ -575,12 +550,12 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                         # the estimate set this step, and it ends on or
                         # before the next breakpoint: RODAS4
                         G, Ft, dG1, hist1, ahead = _serve_four(
-                            nodes, g_eval, h, delay.d(t + _ALPHA4 * h).tolist(), G0)
+                            traj, g_eval, h, delay.d(t + _ALPHA4 * h).tolist(), G0)
                         G1 = G[3]
                         x_new, u4_new = rodas4_step(x, F0, J, G, Ft, h, f_eval)
                     else:
                         G1, Ft, dG1, hist1, ahead = _serve_one(
-                            nodes, g_eval, h, float(delay.d(t + h)), G0, dG0, h_prev, hists[0])
+                            traj, g_eval, h, float(delay.d(t + h)), G0, dG0, h_prev, hists[0])
                         x_new, u4_new = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
                     lo = _extreme(min, x_new.tolist())
                     cause = "orthant"
@@ -643,10 +618,10 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             flagged = flagged or ahead
             G0, dG0, h_prev = G1, dG1, h
             hists = (hists[1], hist1)
-            nodes.append(t, x, F0)
+            traj.append(t, x, F0)
 
-    return Trajectory(*(a[:nodes.N].copy() for a in (nodes.ts, nodes.xs, nodes.fs)),
-                      flagged, lengthened, rejected)
+    traj.extrapolation_flagged, traj.lengthened_steps = flagged, lengthened
+    return traj
 
 
 @dataclass
@@ -696,18 +671,23 @@ def lyapunov_monitor(traj: Trajectory, mu: MuFunction, xi, r: DilationMap,
 def fit_rate(traj: Trajectory, mu: MuFunction, window=0.5):
     """Least-squares slope of ln x_j against ln mu(t) on the trailing
     log-time window; the certified decay x_j = O(mu**(-r_j/r_star)) shows
-    up as slope <= -r_j/r_star."""
+    up as slope <= -r_j/r_star; a ln mu or ln x_j that is not finite in the
+    window is a SimulationError naming mu."""
     t_lo = max(traj.ts[0], 1e-12)
     lo_ln, hi_ln = np.log(t_lo), np.log(traj.ts[-1])
     cut = np.exp(lo_ln + (1.0 - window) * (hi_ln - lo_ln))
     mask = (traj.ts >= cut) & np.all(traj.xs > 1e-15, axis=1)
     if mask.sum() < 10:
         raise SimulationError("fewer than 10 usable nodes in the fit window")
-    lnmu = np.asarray(mu.log_value(traj.ts[mask]))
+    with np.errstate(over="ignore"):
+        lnmu = np.asarray(mu.log_value(traj.ts[mask]))
+    lnx = np.log(traj.xs[mask])
+    if not (np.isfinite(lnmu).all() and np.isfinite(lnx).all()):
+        raise SimulationError("mu: ln mu(t) or ln x(t) is not finite in the fit window")
     slopes = np.empty(traj.n)
     intercepts = np.empty(traj.n)
     for j in range(traj.n):
-        slope, intercept = np.polyfit(lnmu, np.log(traj.xs[mask, j]), 1)
+        slope, intercept = np.polyfit(lnmu, lnx[:, j], 1)
         slopes[j] = slope
         intercepts[j] = intercept
     return slopes, intercepts

@@ -233,14 +233,10 @@ class StructureReport:
     omega: dict = field(default_factory=dict)
 
     def to_dict(self):
+        # the witness as it is: the report's encoder makes it JSON
         def enc(v):
             if isinstance(v, Verdict):
-                w = v.witness
-                if isinstance(w, np.ndarray):
-                    w = w.tolist()
-                elif isinstance(w, tuple):
-                    w = list(w)
-                return {"status": v.status, "witness": w}
+                return {"status": v.status, "witness": v.witness}
             return v
 
         return {
@@ -345,7 +341,8 @@ def check_omega_condition(G: PolyMap, i, rng=None) -> Verdict:
     [min a_t, max a_t].  An empty row (g_i = 0) is refuted.  A row with a
     negative coefficient is swept instead: x_i over [1e-6, 1e6] with the
     other coordinates frozen at sampled points, refuted when the ratio
-    turns negative or vanishes at either end, else undecided.
+    turns negative or vanishes at either end, else undecided; a sampled
+    point whose sweep overflows decides nothing.
     """
     if not 0 <= i < G.n:
         raise FieldError("component index %d out of range" % i)
@@ -364,7 +361,9 @@ def check_omega_condition(G: PolyMap, i, rng=None) -> Verdict:
     for base in _sample_points(rng, G.n, count=8, lo=0.1, hi=10.0):
         X = np.tile(base, (len(sweep), 1))
         X[:, i] = sweep
-        ratios = eval_field(G, X)[:, i] / sweep
+        # unchecked, unlike eval_field: an overflow is skipped below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ratios = G(X)[:, i] / sweep
         if not np.all(np.isfinite(ratios)):
             continue
         if ratios.min() < -TOL_COOP:

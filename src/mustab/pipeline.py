@@ -393,8 +393,11 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
 
 
 def _strict(obj):
-    """obj with every non-finite float written as "inf", "-inf" or "nan",
-    which RFC 8259 JSON can hold."""
+    """obj with numpy arrays and scalars made lists and Python numbers, at
+    any depth, and every non-finite float written as "inf", "-inf" or
+    "nan", which RFC 8259 JSON can hold."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _strict(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -159,6 +159,18 @@ class TestTrajectory:
                         HistorySpec(np.ones(1)), cfg)
         assert np.all(traj.xs >= 0.0)
 
+    def test_sample_is_the_hermite_arithmetic(self):
+        # on a run, at every node but the first and every midpoint, sample
+        # is bitwise the cubic rebuilt from the node arrays, also where the
+        # decayed component's cubic dips below 0 and the lookup raises it
+        f, g, delay, phi0, cfg = TestGrowth.CASES["stiff-decayed"]
+        traj = simulate(f, g, delay, HistorySpec(np.array(phi0)), cfg)
+        ts = np.concatenate((traj.ts[1:], 0.5 * (traj.ts[1:] + traj.ts[:-1])))
+        got = np.array([traj.sample(t) for t in ts])
+        want = np.array([hermite_one(traj.ts, traj.xs, traj.fs, t, None)[0] for t in ts])
+        assert np.array_equal(got, want) and (got < 0.0).any()
+        assert np.array_equal(traj.lookup_rows(ts.tolist())[0], np.maximum(want, 0.0))
+
 
 def scalar(c, e):
     return PolyMap(1, [[(c, (e,))]])
@@ -568,10 +580,10 @@ def record_trials(monkeypatch, entry):
 
 
 def record_nodes(monkeypatch, most):
-    """Wrap the node store's append: the times appended, in a list, and a
-    test failure past the most nodes."""
+    """Wrap the node store's append, Trajectory.append: the times
+    appended, in a list, and a test failure past the most nodes."""
     nodes = []
-    append = dde._Nodes.append
+    append = Trajectory.append
 
     def bounded(self, t, x, F):
         nodes.append(t)
@@ -579,7 +591,7 @@ def record_nodes(monkeypatch, most):
             pytest.fail("the run did not raise")
         append(self, t, x, F)
 
-    monkeypatch.setattr(dde._Nodes, "append", bounded)
+    monkeypatch.setattr(Trajectory, "append", bounded)
     return nodes
 
 
@@ -603,7 +615,7 @@ def nodes_and_time(draw, count=None):
     ts = draw(st.floats(-5.0, 5.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
     xs, fs = (draw(hnp.arrays(float, (N, n), elements=values)) for _ in range(2))
     history = draw(hnp.arrays(float, n, elements=st.floats(0.0, 10.0)))
-    nodes = dde._Nodes(ts[0], xs[0], fs[0], history)
+    nodes = Trajectory(ts[:1], xs[:1], fs[:1], history=history)
     for k in range(1, N):
         nodes.append(ts[k], xs[k], fs[k])
 
@@ -625,16 +637,10 @@ def nodes_and_time(draw, count=None):
     return nodes, delayed_time() if count is None else [delayed_time() for _ in range(count)]
 
 
-def rows_by_lookup_one(nodes, ds):
-    """_Nodes.lookup_rows as one lookup_one per time, raised by np.maximum."""
-    looks = [nodes.lookup_one(d) for d in ds]
-    return (np.maximum([x for x, _, _ in looks], 0.0), looks[-1][1],
-            any(ahead for _, _, ahead in looks))
-
-
 def hermite_one(ts, xs, fs, d, history):
     """The cubic Hermite lookup rebuilt from the node values on every call,
-    as the integrator did before it kept each interval's coefficients."""
+    as the integrator did before it kept each interval's coefficients, not
+    raised to 0."""
     N = len(ts)
     t0 = ts[0]
     if d <= t0:
@@ -652,25 +658,36 @@ def hermite_one(ts, xs, fs, d, history):
     return x0 + s * (hf0 + s * (dx - hf0 - c3 + s * c3)), False, bool(d >= ts[N - 1])
 
 
+def rows_by_hermite(traj, ds):
+    """Trajectory.lookup_rows as one hermite_one per time on the node
+    arrays, raised by np.maximum."""
+    looks = [hermite_one(traj.ts, traj.xs, traj.fs, d, traj.history) for d in ds]
+    return (np.maximum([x for x, _, _ in looks], 0.0), looks[-1][1],
+            any(ahead for _, _, ahead in looks))
+
+
 class TestLookupOne:
-    """Every step takes one delayed time's lookup, from the cubic
-    coefficients of the node intervals, made once."""
+    """Every step takes the lookup of one delayed time (a RODAS3 trial) or
+    of four (a RODAS4 trial), from the cubic coefficients of the node
+    intervals, made once."""
 
     @given(nodes_and_time())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_hermite_arithmetic(self, case):
         nodes, d = case
         N = nodes.N
-        want, hist, ahead = hermite_one(nodes.ts[:N], nodes.xs[:N], nodes.fs[:N], d,
-                                        nodes.history)
-        x, got_hist, got_ahead = nodes.lookup_one(d)
+        want, hist, ahead = hermite_one(nodes.ts, nodes.xs, nodes.fs, d, nodes.history)
+        X, got_hist, got_ahead = nodes.lookup_rows((d,))
         # the coefficients hold the same partial results, so the bits agree
-        assert np.array_equal(x, want)
+        assert np.array_equal(X[0], np.maximum(want, 0.0))
         assert (got_hist, got_ahead) == (hist, ahead)
-        k = int(np.searchsorted(nodes.ts[:N], d))
+        if nodes.ts[0] < d <= nodes.ts[-1]:
+            # sample reads the same coefficients, not raised to 0
+            assert np.array_equal(nodes.sample(d), want)
+        k = int(np.searchsorted(nodes.ts, d))
         if 0 < k < N - 1 and d == nodes.ts[k]:
             # s = 0 at a node inside the store: the node's state itself
-            assert np.array_equal(x, nodes.xs[k])
+            assert np.array_equal(nodes.sample(d), nodes.xs[k])
 
     @given(nodes_and_time(count=4))
     @settings(max_examples=300, deadline=None)
@@ -678,22 +695,23 @@ class TestLookupOne:
         # a RODAS4 trial's four times in one pass, made first on the store
         nodes, ds = case
         X, hist, ahead = nodes.lookup_rows(ds)
-        want, want_hist, want_ahead = rows_by_lookup_one(nodes, ds)
+        want, want_hist, want_ahead = rows_by_hermite(nodes, ds)
         assert np.array_equal(X, want) and np.array_equal(np.signbit(X), np.signbit(want))
         assert (hist, ahead) == (want_hist, want_ahead)
 
     def test_lookup_behind_the_made_intervals_makes_none(self, monkeypatch):
         ts = np.arange(6.0)
-        nodes = dde._Nodes(ts[0], np.ones(2), np.zeros(2), np.ones(2))
+        nodes = Trajectory(ts[:1], np.ones((1, 2)), np.zeros((1, 2)), history=np.ones(2))
         for t in ts[1:4]:
             nodes.append(t, np.full(2, 1.0 + t), np.ones(2))
-        nodes.lookup_one(3.5)
+        nodes.lookup_rows((3.5,))
         assert nodes.made == 3
         for t in ts[4:]:
             nodes.append(t, np.full(2, 1.0 + t), np.ones(2))
         monkeypatch.setattr(dde, "_cubics", lambda *a: pytest.fail("coefficients made"))
+        nodes.lookup_rows((0.5, 1.0, 2.25, 2.75))
         for d in (0.5, 1.0, 2.25, 2.75):
-            nodes.lookup_one(d)
+            nodes.sample(d)
         assert nodes.made == 3
 
     def test_one_pass_serves_many_steps(self, monkeypatch):
@@ -866,13 +884,13 @@ class TestTrialOnFloats:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_trajectory_is_the_dense_tables(self, monkeypatch, case):
-        # f and g evaluated on their dense tables, and a RODAS4 trial's
-        # four lookups as one lookup_one each (all cases but the
-        # cooperative one take RODAS4 steps)
+        # f and g evaluated on their dense tables, and every trial's
+        # lookups rebuilt from the node values, one hermite_one per time
+        # (all cases but the cooperative one take RODAS4 steps)
         f, g, delay, phi0, cfg = self.CASES[case]
         fast = simulate(f, g, delay, HistorySpec(np.array(phi0)), cfg)
         monkeypatch.setattr(dde, "fast_evaluator", lambda F: F)
-        monkeypatch.setattr(dde._Nodes, "lookup_rows", rows_by_lookup_one)
+        monkeypatch.setattr(Trajectory, "lookup_rows", rows_by_hermite)
         ref = simulate(f, g, delay, HistorySpec(np.array(phi0)), cfg)
         for a, b in ((fast.ts, ref.ts), (fast.xs, ref.xs), (fast.fs, ref.fs)):
             assert np.array_equal(a, b)

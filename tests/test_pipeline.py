@@ -36,6 +36,16 @@ def small_doc(**overrides):
     return json.dumps(obj)
 
 
+def scalar_system(f, g, **overrides):
+    """x' = f(x) + g(x(t - 1)) for n = 1 as a document object: f and g one
+    row of terms each, xi = phi0 = 1, the gauge e^(t/10), t in [1, 10]."""
+    obj = dict(n=1, f=[f], g=[g], r=[1.0], xi=[1.0], r_star=1.0,
+               history={"phi0": [1.0]}, delay={"family": "bounded", "tau_max": 1.0},
+               mu={"family": "exp", "eps": 0.1}, sim={"t_start": 1.0, "t_end": 10.0})
+    obj.update(overrides)
+    return obj
+
+
 class TestParseSystem:
     def test_parses_reference_document(self):
         doc = parse_system(paper_text())
@@ -644,6 +654,48 @@ class TestCli:
                                  "--input", str(doc_path))
         with open(os.path.join(out, "report.json")) as fh:
             return code, json.load(fh)
+
+    def test_refuted_cooperativity_writes_its_witness(self, tmp_path):
+        # x1^1 x2^2 in f_1 with c < 0 breaks cooperativity; the witness (i,
+        # j, x) holds x as an array, which report.json writes as a list
+        obj = json.loads(paper_text())
+        obj["f"][0][0]["e"] = [1, 2]
+        code, report = self.run_report(tmp_path, obj)
+        assert code == 1
+        verdict = report["structure"]["cooperative"]
+        assert verdict["status"] == "refuted"
+        i, j, x = verdict["witness"]
+        assert (i, j) == (0, 1) and len(x) == 2
+        assert all(isinstance(v, float) and v > 0.0 for v in x)
+
+    def test_overflowing_omega_sweep_is_undecided(self, tmp_path):
+        # g = 2 x^60 - x^61 has a negative coefficient, so the omega check
+        # sweeps x up to 1e6, where x^61 overflows: no point decides it
+        obj = scalar_system([{"c": -1.0, "e": [60]}],
+                            [{"c": 2.0, "e": [60]}, {"c": -1.0, "e": [61]}])
+        code, report = self.run_report(tmp_path, obj)
+        assert code == 1
+        assert report["structure"]["omega"]["0"]["status"] == "undecided"
+
+    def test_field_overflowing_at_xi_has_infinite_margins(self, tmp_path, capsys):
+        # f = -x^400 and g = x^400 / 2 overflow at xi = 10: the margins are
+        # infinite, as where they underflow at xi = 1e-200, and the
+        # burn-in search of the simulation finds no node
+        obj = scalar_system([{"c": -1.0, "e": [400]}], [{"c": 0.5, "e": [400]}], xi=[10.0])
+        code, report = self.run_report(tmp_path, obj)
+        assert code == 1
+        assert report["criterion"]["verdict"] == "INCONCLUSIVE"
+        assert report["criterion"]["margins"] == ["inf"]
+        code, out = self.run_cli(tmp_path, "all", "--input", str(tmp_path / "sys.json"))
+        assert code == 1 and "Traceback" not in capsys.readouterr().err
+        with open(os.path.join(out, "report.json")) as fh:
+            assert json.load(fh)["simulation"]["monitor"]["burn_in_found"] is False
+
+    def test_gauge_whose_log_overflows_exits_two(self, tmp_path, capsys):
+        # ln mu = 1e308 t overflows in the fit window: no fit, and an error
+        # naming mu, not a least-squares failure
+        err = self.run_failing_simulation(tmp_path, capsys, mu={"family": "exp", "eps": 1e308})
+        assert err.startswith("error: mu: ")
 
     def test_f_not_homogeneous_skips_the_transform(self, tmp_path):
         obj = json.loads(paper_text())
