@@ -156,15 +156,17 @@ def criterion_margins(fbar: PolyMap, gbar: PolyMap, xi, r: DilationMap,
     D = np.asarray(limits.D, dtype=float)[()]
     w = r_star / np.asarray(r.r)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        fb = fbar(xi) / xi
-        gb = gbar(xi) / xi
+        # one power table per map, taken as PolyMap.__call__ takes it, serves
+        # its value at xi, bitwise the map's, and the sum of its terms'
+        # absolute values for the bound
+        Pf, Pg = (np.multiply.reduce(xi[None, :] ** F.E, axis=-1) for F in (fbar, gbar))
+        fb, gb = Pf.dot(fbar.CK) / xi, Pg.dot(gbar.CK) / xi
         Lfac = L ** ((float(p) + 1.0) / r_star)
         m = w * (fb + Lfac[..., None] * gb) + D[..., None]
         # also fails a row whose finite L, D and Lfac overflow in the sum:
         # no certificate rests on limits that far out of range
         ok = np.isfinite(L + D + Lfac)[..., None] & np.isfinite(m)
-        fa, ga = (np.multiply.reduce(xi ** F.E, axis=-1).dot(np.abs(F.CK)) / xi
-                  for F in (fbar, gbar))
+        fa, ga = Pf.dot(np.abs(fbar.CK)) / xi, Pg.dot(np.abs(gbar.CK)) / xi
         u = np.finfo(float).eps / 2.0
         k = 3 * fbar.n + len(fbar.C) + len(gbar.C) + 8 + 2.0 * np.abs(np.log(Lfac))
         S = w * (fa + Lfac[..., None] * ga) + np.abs(D)[..., None]

@@ -24,9 +24,12 @@ whose estimate exceeds _EST_CUT of the state's largest component is
 halved, down to h_min; at or below h_min only _EST_REJECT rejects it.  Any
 other rejected policy step is halved: h_min is the floor of every step,
 and below it is a SimulationError.  A RODAS3 trial reads the forcing at t
-+ h, its slope from the parabola through G at the last two nodes and t +
-h; a RODAS4 trial at t + alpha h for the alpha of _ALPHA4 (g evaluated
-once on the four rows), its slope from the quartic through those and G(t).
++ h, its slope (G(t + h) - G(t))/h from the first node, else from the
+parabola through G at the last two nodes and t + h; a RODAS4 trial at t +
+alpha h for the alpha of _ALPHA4 (g evaluated once on the four rows), its
+slope from the quartic through those and G(t).  A run whose accepted trial
+read the state at or past the node it started from, past t_start, where
+the last interval is extended, is flagged (extrapolation_flagged).
 
 RODAS3's stability function R(z) = (1 - z + z^3/6) / (1 - z/2)^4 is
 negative for z < -2.85, so a step far above a stable mode's relaxation
@@ -44,14 +47,15 @@ step down to h_min, and the run fails.
 rodas3_step and rodas4_step each make one step from given forcing values.
 The Trajectory that simulate returns is the node store it appends to, with
 the cubic Hermite coefficients of its intervals, made in one pass whenever
-a lookup reads past those made.  Its one lookup, lookup_rows, serves every
-trial, and Trajectory.sample evaluates the same coefficients.  simulate is
-the driver.  A run whose accepted steps stay below _STALL_FRACTION of |t|
-for _STALL_STEPS steps in a row is a SimulationError naming t, not a run
-that never ends.  The pole test takes Gershgorin's bound on the growth
-rate first (J's largest row sum when the sign pattern of f makes J
-Metzler), never below the growth rate itself, which _growth takes only
-when the bound reaches the pole.  A Jacobian that is not finite is a
+a lookup reads past those made.  Its one lookup, lookup_rows, returns the
+states at a trial's delayed times, and Trajectory.sample evaluates the
+same coefficients.  simulate is the driver, and serves both trial kinds.
+A run whose accepted steps stay below _STALL_FRACTION of |t| for
+_STALL_STEPS steps in a row is a SimulationError naming t, not a run that
+never ends.  The pole test takes Gershgorin's bound on the growth rate
+first (J's largest row sum when the sign pattern of f makes J Metzler),
+never below the growth rate itself, which _growth takes only when the
+bound reaches the pole.  A Jacobian that is not finite is a
 SimulationError.
 
 On n <= 6 vectors numpy's fixed cost per call exceeds the arithmetic, so
@@ -125,6 +129,8 @@ _BREAKS = 64
 # fraction (the smallest h / t of the tests and the benchmark is about 1e-6)
 _STALL_FRACTION = 1e-12
 _STALL_STEPS = 1000
+# fit_rate's window: the trailing fraction of log time it fits on
+_FIT_WINDOW = 0.5
 # the causes of a rejected trial: a state with a NaN or -inf component, an
 # estimate too large, and a field not finite at the new state
 REJECTIONS = ("orthant", "estimate", "field")
@@ -195,21 +201,22 @@ class Trajectory:
     that double when full (ts, xs and fs are their first N rows), the
     history before the first node, and the cubic Hermite coefficients of
     the intervals between them, made up to the last node whenever a lookup
-    reads past those already made.  Also how many of the steps between the
-    nodes the estimate lengthened past the policy's (the RODAS4 steps), and
-    how many trials were rejected, by cause (a key of REJECTIONS)."""
+    reads past those already made.  Also the driver's counts: how many of
+    the steps between the nodes the estimate lengthened past the policy's
+    (the RODAS4 steps), how many trials were rejected, by cause (a key of
+    REJECTIONS), and whether an accepted step read the state at or past
+    the node it started from, past the first (extrapolation_flagged)."""
 
-    def __init__(self, ts, xs, fs, extrapolation_flagged=False, lengthened_steps=0,
-                 rejected=None, history=None):
+    def __init__(self, ts, xs, fs, history=None):
         ts, xs, fs = (np.asarray(a, dtype=float) for a in (ts, xs, fs))
         if np.any(np.diff(ts) <= 0):
             raise SimulationError("node times must be strictly increasing")
         if xs.ndim != 2 or len(xs) != len(ts) or fs.shape != xs.shape:
             raise SimulationError("inconsistent trajectory shapes")
         self._ts, self._xs, self._fs = ts, xs, fs
-        self.extrapolation_flagged = bool(extrapolation_flagged)
-        self.lengthened_steps = int(lengthened_steps)
-        self.rejected = dict.fromkeys(REJECTIONS, 0) if rejected is None else dict(rejected)
+        self.extrapolation_flagged = False
+        self.lengthened_steps = 0
+        self.rejected = dict.fromkeys(REJECTIONS, 0)
         self.history = history
         self.N = len(ts)
         # the times again, as floats, for bisect
@@ -248,27 +255,21 @@ class Trajectory:
         rows of one array: the history at and before the first node; with
         one node, its linear extension; else the cubic of the node interval
         around the time, the last interval extended past the last node, its
-        coefficients kept as floats while the times share it.  Also whether
-        the last time took the history, and whether any read at or past the
-        last node without taking it."""
+        coefficients kept as floats while the times share it."""
         times, N = self.times, self.N
-        values, ahead, k_coeffs = [], False, 0
+        values, k_coeffs = [], 0
         for d in ds:
             if d <= times[0]:
                 values += self.history.tolist()
-                hist, past = True, False
             elif N == 1:
                 values += (self._xs[0] + (d - times[0]) * self._fs[0]).tolist()
-                hist, past = False, True
             else:
                 k = self._interval(d)
                 if k != k_coeffs:
                     t0, t1, k_coeffs = times[k - 1], times[k], k
                     coeffs = self.cubics[k - 1].T.tolist()
                 values += _horner(coeffs, (d - t0) / (t1 - t0))
-                hist, past = False, d >= times[N - 1]
-            ahead = ahead or past
-        return np.maximum(np.array(values).reshape(len(ds), -1), 0.0), hist, ahead
+        return np.maximum(np.array(values).reshape(len(ds), -1), 0.0)
 
     def _interval(self, d):
         """k such that nodes k - 1 and k bound the interval of a time d past
@@ -414,38 +415,6 @@ def rodas4_step(x, F0, J, G, Ft, h, f_eval):
     return y + u6, u6
 
 
-def _serve_one(traj, g_eval, h, d, G0, dG0, h_prev, kink):
-    """The forcing G1 = g(x(d)) at the end of a step h whose delayed time is
-    d, its slope at the step's start, G1 - G0, whether the lookup took the
-    history, and whether it read at or past the last node.  G0 is the
-    forcing at the last node, dG0 its rise from the node before, h_prev the
-    step between them, and kink whether the forcing there took the
-    history: the slope then takes the step alone, else the parabola through
-    the three."""
-    X, hist, ahead = traj.lookup_rows((d,))
-    G1 = g_eval(X[0])
-    dG = G1 - G0
-    if kink:
-        return G1, dG / h, dG, hist, ahead
-    # the slope at t of the parabola through the forcing at t - h_prev, t
-    # and t + h: second order, so the scheme keeps its order 3
-    r, hh = h / h_prev, h + h_prev
-    return G1, dG * (1.0 / (r * hh)) + dG0 * (r / hh), dG, hist, ahead
-
-
-def _serve_four(traj, g_eval, h, ds, G0):
-    """The forcing rows G = g(x(d)) at the times t + alpha h of a RODAS4
-    step h, alpha in _ALPHA4, whose delayed times are ds; their slope at
-    t, from the quartic through G0, the forcing at t, and them; G(t + h) -
-    G0; whether the lookup at t + h took the history; and whether any of
-    the four read at or past the last node.  g is evaluated once, on the
-    four rows."""
-    X, hist, ahead = traj.lookup_rows(ds)
-    G = g_eval(X)
-    dG = G - G0
-    return G, _SLOPE4.dot(dG) * (1.0 / h), dG[3], hist, ahead
-
-
 class _Breakpoints:
     """The delay breakpoints b_{k+1} = d^{-1}(b_k) from b_0 = t_start, made
     only as far as they are asked for, and at most _BREAKS of them."""
@@ -492,7 +461,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
     # an overflow or a non-finite value is a rejection or a SimulationError
     # below, never a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        t = float(cfg.t_start)
+        t = t_start = float(cfg.t_start)
         t_end = float(cfg.t_end)
         eps_end = 1e-12 * max(1.0, t_end)
         # one domain check for the whole horizon: every lookup below is at a
@@ -508,11 +477,9 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
         F0, J = _field_jacobian(f, f_eval, x, np.minimum.reduce(x))
         F0 += G0
         traj = Trajectory([t], [x], [F0], history=phi0)
-        # the forcing's rise into the last node, whether the forcing at the
-        # last two nodes took the history, and the step between them: the
-        # first two unused while the slope takes the history's kink
-        dG0, hists, h_prev = 0.0 * G0, (True, True), 1.0
-        flagged = False
+        # the forcing's rise into the last node and the step into it: the
+        # rise unused from the first node, where the slope is one-sided
+        dG0, h_prev = None, 1.0
         # the error norm of the last accepted step when it was lengthened,
         # inf when it landed on a breakpoint, else a lower bound on it, and
         # the estimate u4 and the state's componentwise scale over that
@@ -521,7 +488,6 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
         # the order q of that step's estimate: 4 after RODAS4, 3 after RODAS3
         q = 3
         breaks = _Breakpoints(delay, t)
-        lengthened = 0
         rejected = traj.rejected
         # accepted steps in a row below _STALL_FRACTION of |t|
         stalled = 0
@@ -548,14 +514,24 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                 if bound * h < _POLE or grow * h < _POLE:
                     if longer:
                         # the estimate set this step, and it ends on or
-                        # before the next breakpoint: RODAS4
-                        G, Ft, dG1, hist1, ahead = _serve_four(
-                            traj, g_eval, h, delay.d(t + _ALPHA4 * h).tolist(), G0)
-                        G1 = G[3]
+                        # before the next breakpoint: RODAS4, with g
+                        # evaluated once on the four rows
+                        ds = delay.d(t + _ALPHA4 * h).tolist()
+                        G = g_eval(traj.lookup_rows(ds))
+                        G1, Ft, d_hi = G[3], _SLOPE4.dot(G - G0) * (1.0 / h), max(ds)
                         x_new, u4_new = rodas4_step(x, F0, J, G, Ft, h, f_eval)
                     else:
-                        G1, Ft, dG1, hist1, ahead = _serve_one(
-                            traj, g_eval, h, float(delay.d(t + h)), G0, dG0, h_prev, hists[0])
+                        d_hi = float(delay.d(t + h))
+                        G1 = g_eval(traj.lookup_rows((d_hi,))[0])
+                        dG = G1 - G0
+                        if traj.N == 1:
+                            Ft = dG / h
+                        else:
+                            # the slope at t of the parabola through the
+                            # forcing at t - h_prev, t and t + h: second
+                            # order, so the scheme keeps its order 3
+                            r, hh = h / h_prev, h + h_prev
+                            Ft = dG * (1.0 / (r * hh)) + dG0 * (r / hh)
                         x_new, u4_new = rodas3_step(x, F0, J, G1, Ft, h, f_eval)
                     lo = _extreme(min, x_new.tolist())
                     cause = "orthant"
@@ -602,7 +578,9 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                         "no step of at least %g keeps the state %s at t=%g "
                         "finite and accurate" % (cfg.h_min, x, t)
                     )
-            lengthened += longer
+            traj.lengthened_steps += longer
+            # the trial read the state at or past the node it started from
+            traj.extrapolation_flagged |= d_hi >= t and d_hi > t_start
             stalled = stalled + 1 if h < _STALL_FRACTION * abs(t) else 0
             if stalled == _STALL_STEPS:
                 raise SimulationError(
@@ -615,12 +593,8 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
             err, exact, u4, scale = ((err_new, longer, u4_new, scale_new) if land is None
                                      else (math.inf, True, None, None))
             q = 4 if longer else 3
-            flagged = flagged or ahead
-            G0, dG0, h_prev = G1, dG1, h
-            hists = (hists[1], hist1)
+            G0, dG0, h_prev = G1, G1 - G0, h
             traj.append(t, x, F0)
-
-    traj.extrapolation_flagged, traj.lengthened_steps = flagged, lengthened
     return traj
 
 
@@ -668,14 +642,14 @@ def lyapunov_monitor(traj: Trajectory, mu: MuFunction, xi, r: DilationMap,
     return MonitorReport(traj.ts, V, V_sup, float(traj.ts[burn_idx]), growth, found)
 
 
-def fit_rate(traj: Trajectory, mu: MuFunction, window=0.5):
+def fit_rate(traj: Trajectory, mu: MuFunction):
     """Least-squares slope of ln x_j against ln mu(t) on the trailing
-    log-time window; the certified decay x_j = O(mu**(-r_j/r_star)) shows
+    _FIT_WINDOW of log time; the certified decay x_j = O(mu**(-r_j/r_star)) shows
     up as slope <= -r_j/r_star; a ln mu or ln x_j that is not finite in the
     window is a SimulationError naming mu."""
     t_lo = max(traj.ts[0], 1e-12)
     lo_ln, hi_ln = np.log(t_lo), np.log(traj.ts[-1])
-    cut = np.exp(lo_ln + (1.0 - window) * (hi_ln - lo_ln))
+    cut = np.exp(lo_ln + (1.0 - _FIT_WINDOW) * (hi_ln - lo_ln))
     mask = (traj.ts >= cut) & np.all(traj.xs > 1e-15, axis=1)
     if mask.sum() < 10:
         raise SimulationError("fewer than 10 usable nodes in the fit window")

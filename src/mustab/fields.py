@@ -341,8 +341,9 @@ def check_omega_condition(G: PolyMap, i, rng=None) -> Verdict:
     [min a_t, max a_t].  An empty row (g_i = 0) is refuted.  A row with a
     negative coefficient is swept instead: x_i over [1e-6, 1e6] with the
     other coordinates frozen at sampled points, refuted when the ratio
-    turns negative or vanishes at either end, else undecided; a sampled
-    point whose sweep overflows decides nothing.
+    turns negative or vanishes at either end, else undecided.  A sampled
+    point is decided on its finite ratios: an end that overflows decides
+    nothing at that end.
     """
     if not 0 <= i < G.n:
         raise FieldError("component index %d out of range" % i)
@@ -361,14 +362,15 @@ def check_omega_condition(G: PolyMap, i, rng=None) -> Verdict:
     for base in _sample_points(rng, G.n, count=8, lo=0.1, hi=10.0):
         X = np.tile(base, (len(sweep), 1))
         X[:, i] = sweep
-        # unchecked, unlike eval_field: an overflow is skipped below
+        # unchecked, unlike eval_field: a ratio that overflows is skipped
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ratios = G(X)[:, i] / sweep
-        if not np.all(np.isfinite(ratios)):
-            continue
-        if ratios.min() < -TOL_COOP:
-            return Verdict(REFUTED, witness=X[int(np.argmin(ratios))])
+        low = np.where(np.isfinite(ratios), ratios, np.inf)
+        k = int(np.argmin(low))
+        if low[k] < -TOL_COOP:
+            return Verdict(REFUTED, witness=X[k])
         mid = abs(ratios[len(sweep) // 2])
+        # an end that is not finite fails this test
         for idx in (0, len(sweep) - 1):
             if abs(ratios[idx]) <= 1e-6 * max(mid, 1e-30):
                 return Verdict(REFUTED, witness=X[idx])

@@ -328,11 +328,9 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
             report.notes.append("transform skipped: f is not r-homogeneous")
 
     if "criterion" in stages:
-        if tsys is None or not report.stage_pass.get("check", False):
-            report.stage_pass["criterion"] = False
-            if tsys is not None:
-                report.notes.append("criterion evaluated without full structure certificates")
         if tsys is not None:
+            if not report.stage_pass.get("check", False):
+                report.notes.append("criterion evaluated without full structure certificates")
             limits = compute_limits(mu, delay, tsys.p, doc.r_star)
             if not limits.converged:
                 tables = " and ".join(k for k, v in (("mu", mu), ("delay", delay))
@@ -348,12 +346,12 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
                     flags["omega:g[%d]" % i] = v.status
             for i in tsys.gbar_flags:
                 flags["gbar-negative-exponent:%d" % i] = "flagged"
-            crit = evaluate_criterion(
+            report.criterion = evaluate_criterion(
                 tsys.fbar, tsys.gbar, doc.xi, doc.r, doc.r_star, tsys.p,
                 limits, hypothesis_flags=flags,
             )
-            report.criterion = crit
-            report.stage_pass["criterion"] = crit.verdict == STABLE_CERTIFIED
+        report.stage_pass["criterion"] = (report.criterion is not None
+                                          and report.criterion.verdict == STABLE_CERTIFIED)
 
     if "simulate" in stages:
         sim = doc.sim

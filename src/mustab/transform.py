@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DilationMap, FieldError, PolyMap, eval_field
+from .fields import DilationMap, FieldError, PolyMap, _sample_points, eval_field
 
 
 def transform_field(F: PolyMap, r: DilationMap) -> tuple[PolyMap, tuple]:
@@ -63,21 +63,12 @@ class LemmaReport:
     witness: object = None
 
 
-# property-suite sampling window, log-uniform
-_SUITE_RANGE = (1e-2, 1e2)
-
-
-def _suite_points(rng, n, count):
-    lo, hi = np.log(_SUITE_RANGE)
-    return np.exp(rng.uniform(lo, hi, size=(count, n)))
-
-
 def verify_lemma1(F: PolyMap, r: DilationMap, p, trials=200, rng=None, tol=1e-9):
     """Transformed field of a degree-p field is degree-p homogeneous under
     uniform scaling: fbar(lam*z) == lam**(p+1) * fbar(z)."""
     fbar, _ = transform_field(F, r)
     rng = rng or np.random.default_rng(10)
-    Z = _suite_points(rng, F.n, trials)
+    Z = _sample_points(rng, F.n, trials, 1e-2, 1e2)
     lam = rng.uniform(0.5, 2.0, size=(trials, 1))
     lhs = eval_field(fbar, lam * Z)
     rhs = lam ** (p + 1.0) * eval_field(fbar, Z)
@@ -94,7 +85,7 @@ def verify_lemma2(F: PolyMap, r: DilationMap, trials=200, rng=None, tol=1e-12):
     others."""
     fbar, _ = transform_field(F, r)
     rng = rng or np.random.default_rng(11)
-    Z = _suite_points(rng, F.n, trials)
+    Z = _sample_points(rng, F.n, trials, 1e-2, 1e2)
     own = np.empty(trials, dtype=int)
     W = np.empty_like(Z)
     for t, z in enumerate(Z):
@@ -123,7 +114,7 @@ def verify_lemma3(G: PolyMap, r: DilationMap, omega_verdicts, trials=200, rng=No
         if i in omega_verdicts and omega_verdicts[i].certified
     ]
     excluded = tuple(i for i in range(G.n) if i not in included)
-    Z = _suite_points(rng, G.n, trials)
+    Z = _sample_points(rng, G.n, trials, 1e-2, 1e2)
     W = Z * rng.uniform(0.0, 1.0, size=Z.shape)
     bad = np.argwhere(eval_field(gbar, Z)[:, included] < eval_field(gbar, W)[:, included] - tol)
     if len(bad):

@@ -281,6 +281,62 @@ class TestMargins:
                               LimitPair(1.0, 0.0, ANALYTIC))
 
 
+def parent_margins(fbar, gbar, xi, r, r_star, p, L, D):
+    """The margins and bounds of criterion_margins for one scalar pair, the
+    powers of each map taken twice: in fbar(xi) and gbar(xi), and again for
+    the sums of the terms' absolute values."""
+    L, D, w = np.float64(L), np.float64(D), r_star / np.asarray(r.r)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fb, gb = fbar(xi) / xi, gbar(xi) / xi
+        Lfac = L ** ((float(p) + 1.0) / r_star)
+        m = w * (fb + Lfac * gb) + D
+        ok = np.isfinite(L + D + Lfac) & np.isfinite(m)
+        fa, ga = (np.multiply.reduce(xi ** F.E, axis=-1).dot(np.abs(F.CK)) / xi
+                  for F in (fbar, gbar))
+        u = np.finfo(float).eps / 2.0
+        k = 3 * fbar.n + len(fbar.C) + len(gbar.C) + 8 + 2.0 * np.abs(np.log(Lfac))
+        bound = k * u / (1.0 - k * u) * (w * (fa + Lfac * ga) + np.abs(D))
+    return np.where(ok, m, np.inf), bound
+
+
+@st.composite
+def margin_cases(draw):
+    """Maps of up to 11 terms in n <= 6, negative exponents allowed, with
+    weights, r, a limit pair and p."""
+    n = draw(st.integers(1, 6))
+    term = st.tuples(st.floats(-5.0, 5.0).filter(bool),
+                     st.tuples(*[st.floats(-2.0, 4.0)] * n))
+
+    def poly():
+        rows = [[] for _ in range(n)]
+        for _ in range(draw(st.integers(0, 11))):
+            rows[draw(st.integers(0, n - 1))].append(draw(term))
+        return PolyMap(n, rows, allow_negative_exponents=True)
+
+    xi = np.array(draw(st.tuples(*[st.floats(0.1, 10.0)] * n)))
+    r = DilationMap(draw(st.tuples(*[st.sampled_from((0.5, 1.0, 2.0))] * n)))
+    return (poly(), poly(), xi, r, draw(st.floats(0.0, 1e3)), draw(st.floats(-2.0, 2.0)),
+            draw(st.floats(0.0, 3.0)))
+
+
+class TestOnePowerTable:
+    @settings(max_examples=300, deadline=None)
+    @given(margin_cases())
+    def test_margins_and_bounds_are_the_parent_formulas(self, case):
+        fbar, gbar, xi, r, L, D, p = case
+        r_star = max(r.r)
+        m, b = criterion_margins(fbar, gbar, xi, r, r_star, p, LimitPair(L, D, ANALYTIC))
+        want_m, want_b = parent_margins(fbar, gbar, xi, r, r_star, p, L, D)
+        assert np.array_equal(m, want_m)
+        # the parent's bound took xi ** E, which numpy rounds as libm's pow
+        # when both operands are one element, while the broadcast that the
+        # margins take may differ from it by an ulp
+        if all(np.array_equal(xi ** F.E, xi[None, :] ** F.E) for F in (fbar, gbar)):
+            assert np.array_equal(b, want_b, equal_nan=True)
+        else:
+            np.testing.assert_allclose(b, want_b, rtol=1e-15, atol=0.0)
+
+
 class TestCertifies:
     def test_one_row(self):
         b = np.full(2, 1e-15)

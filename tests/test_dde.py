@@ -167,9 +167,9 @@ class TestTrajectory:
         traj = simulate(f, g, delay, HistorySpec(np.array(phi0)), cfg)
         ts = np.concatenate((traj.ts[1:], 0.5 * (traj.ts[1:] + traj.ts[:-1])))
         got = np.array([traj.sample(t) for t in ts])
-        want = np.array([hermite_one(traj.ts, traj.xs, traj.fs, t, None)[0] for t in ts])
+        want = np.array([hermite_one(traj.ts, traj.xs, traj.fs, t, None) for t in ts])
         assert np.array_equal(got, want) and (got < 0.0).any()
-        assert np.array_equal(traj.lookup_rows(ts.tolist())[0], np.maximum(want, 0.0))
+        assert np.array_equal(traj.lookup_rows(ts.tolist()), np.maximum(want, 0.0))
 
 
 def scalar(c, e):
@@ -644,9 +644,9 @@ def hermite_one(ts, xs, fs, d, history):
     N = len(ts)
     t0 = ts[0]
     if d <= t0:
-        return history, True, False
+        return history
     if N == 1:
-        return xs[0] + (d - t0) * fs[0], False, True
+        return xs[0] + (d - t0) * fs[0]
     k = ts[1:N - 1].searchsorted(d, side="right") + 1
     j = k - 1
     t0 = ts[j]
@@ -655,15 +655,13 @@ def hermite_one(ts, xs, fs, d, history):
     x0, hf0 = xs[j], h * fs[j]
     dx = xs[k] - x0
     c3 = hf0 + h * fs[k] - 2.0 * dx
-    return x0 + s * (hf0 + s * (dx - hf0 - c3 + s * c3)), False, bool(d >= ts[N - 1])
+    return x0 + s * (hf0 + s * (dx - hf0 - c3 + s * c3))
 
 
 def rows_by_hermite(traj, ds):
     """Trajectory.lookup_rows as one hermite_one per time on the node
     arrays, raised by np.maximum."""
-    looks = [hermite_one(traj.ts, traj.xs, traj.fs, d, traj.history) for d in ds]
-    return (np.maximum([x for x, _, _ in looks], 0.0), looks[-1][1],
-            any(ahead for _, _, ahead in looks))
+    return np.maximum([hermite_one(traj.ts, traj.xs, traj.fs, d, traj.history) for d in ds], 0.0)
 
 
 class TestLookupOne:
@@ -676,11 +674,12 @@ class TestLookupOne:
     def test_matches_the_hermite_arithmetic(self, case):
         nodes, d = case
         N = nodes.N
-        want, hist, ahead = hermite_one(nodes.ts, nodes.xs, nodes.fs, d, nodes.history)
-        X, got_hist, got_ahead = nodes.lookup_rows((d,))
+        want = hermite_one(nodes.ts, nodes.xs, nodes.fs, d, nodes.history)
+        X = nodes.lookup_rows((d,))
         # the coefficients hold the same partial results, so the bits agree
+        assert X.shape == (1, nodes.n)
         assert np.array_equal(X[0], np.maximum(want, 0.0))
-        assert (got_hist, got_ahead) == (hist, ahead)
+        assert np.array_equal(np.signbit(X[0]), np.signbit(np.maximum(want, 0.0)))
         if nodes.ts[0] < d <= nodes.ts[-1]:
             # sample reads the same coefficients, not raised to 0
             assert np.array_equal(nodes.sample(d), want)
@@ -694,10 +693,10 @@ class TestLookupOne:
     def test_rows_are_lookup_ones(self, case):
         # a RODAS4 trial's four times in one pass, made first on the store
         nodes, ds = case
-        X, hist, ahead = nodes.lookup_rows(ds)
-        want, want_hist, want_ahead = rows_by_hermite(nodes, ds)
+        X = nodes.lookup_rows(ds)
+        want = rows_by_hermite(nodes, ds)
+        assert X.shape == want.shape == (4, nodes.n)
         assert np.array_equal(X, want) and np.array_equal(np.signbit(X), np.signbit(want))
-        assert (hist, ahead) == (want_hist, want_ahead)
 
     def test_lookup_behind_the_made_intervals_makes_none(self, monkeypatch):
         ts = np.arange(6.0)
@@ -724,6 +723,74 @@ class TestLookupOne:
         traj = simulate(f, g, ProportionalDelay(0.5), HistorySpec(np.array([1.0, 4.0])),
                         SimConfig(t_start=1.0, t_end=1e3, rho=1e-2))
         assert 0 < len(passes) < (len(traj.ts) - 1) / 10
+
+
+def record_reads(monkeypatch, delay):
+    """Wrap delay.d and the node store's append: each accepted step's start
+    node and the largest delayed time read by its trial, the last call of
+    delay.d before the append, in a list."""
+    steps, last = [], [None]
+    d, append = delay.d, Trajectory.append
+
+    def reading(t):
+        last[0] = d(t)
+        return last[0]
+
+    def appending(self, t, x, F):
+        steps.append((self.times[-1], float(np.max(last[0]))))
+        append(self, t, x, F)
+
+    monkeypatch.setattr(delay, "d", reading)
+    monkeypatch.setattr(Trajectory, "append", appending)
+    return steps
+
+
+class TestForcing:
+    """The driver's reading of the delayed forcing: where it flags an
+    extrapolation, and the slope a RODAS3 trial takes."""
+
+    CASES = {
+        # d(t) = t/ln t > e just past e: the first step reads ahead
+        "reference": (*paper_system(), LogFractionDelay(), [1.0, 4.0],
+                      SimConfig(t_start=math.e, t_end=1e6), True),
+        # steps of up to 0.5 over a delay of 0.01
+        "short-delay": (scalar(-1.0, 1.0), scalar(0.5, 1.0), BoundedDelay(0.01), [1.0],
+                        SimConfig(t_start=1.0, t_end=50.0, rho=1e-2), True),
+        # steps of at most 0.1 t = 0.5 under a delay of 1
+        "long-delay": (scalar(-1.0, 1.0), scalar(0.5, 1.0), BoundedDelay(1.0), [1.0],
+                       SimConfig(t_start=0.0, t_end=5.0, rho=1e-2), False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flag_is_an_accepted_read_at_or_past_the_start_node(self, monkeypatch, case):
+        f, g, delay, phi0, cfg, flagged = self.CASES[case]
+        steps = record_reads(monkeypatch, delay)
+        traj = simulate(f, g, delay, HistorySpec(np.array(phi0)), cfg)
+        t_start = steps[0][0]
+        assert len(steps) == traj.N - 1
+        ahead = any(d_hi >= t and d_hi > t_start for t, d_hi in steps)
+        assert traj.extrapolation_flagged == ahead == flagged
+
+    def test_slope_is_one_sided_from_the_first_node_only(self, monkeypatch):
+        # the reference's first step reads the first node's linear
+        # extension, so G1 != G0; its slope is (G1 - G0)/h, and from the
+        # next node on the parabola through the forcing at the last two
+        # nodes and G1.  _GROW = 1 keeps every step RODAS3
+        monkeypatch.setattr(dde, "_GROW", 1.0)
+        trials = record_trials(monkeypatch, lambda name, a, out: a)
+        f, g = paper_system()
+        phi0 = np.array([1.0, 4.0])
+        traj = simulate(f, g, LogFractionDelay(), HistorySpec(phi0),
+                        SimConfig(t_start=math.e, t_end=3.0))
+        G0 = g(phi0)
+        first = [a for a in trials if np.array_equal(a[0], traj.xs[0])]
+        for x, F0, J, G1, Ft, h, f_eval in first:
+            assert not np.array_equal(G1, G0)
+            assert np.array_equal(Ft, (G1 - G0) / h)
+        _, _, _, G1, _, h_prev, _ = first[-1]
+        x, F0, J, G2, Ft, h, f_eval = next(a for a in trials if np.array_equal(a[0], traj.xs[1]))
+        r, hh = h / h_prev, h + h_prev
+        assert np.array_equal(Ft, (G2 - G1) * (1.0 / (r * hh)) + (G1 - G0) * (r / hh))
 
 
 def term_rows(rows):
@@ -1021,16 +1088,17 @@ class TestNanRule:
 class TestErrorPaths:
     def test_stalled_run_raises(self, monkeypatch):
         # the reference to t_end = 1e16: past 1e12 the noisy node slopes
-        # f(x_n) + G(t_n) (ROADMAP item 18) feed the forcing, and at t =
-        # 7.99e14 no step down to h_min passes.  A change of those slopes
-        # keeps this test by restoring them here by monkeypatch
+        # f(x_n) + G(t_n) (ROADMAP item 18) feed the forcing, the state is
+        # projected to the floor, and at t = 1.56e15 no step down to h_min
+        # passes.  A change of those slopes keeps this test by restoring
+        # them here by monkeypatch
         nodes = record_nodes(monkeypatch, 50_000)
         f, g = paper_system()
         with pytest.raises(SimulationError,
-                           match=r"no step of at least 0\.001 .* at t=7\.990\d+e\+14"):
+                           match=r"no step of at least 0\.001 .* at t=1\.5626\d+e\+15"):
             simulate(f, g, LogFractionDelay(), HistorySpec(np.array([1.0, 4.0])),
                      SimConfig(t_start=math.e, t_end=1e16))
-        assert nodes[-1] == pytest.approx(7.9908e14, rel=1e-4)
+        assert nodes[-1] == pytest.approx(1.56262e15, rel=1e-4)
 
     def test_stall_guard_raises(self, monkeypatch):
         # with the fraction above every step's h / t (at most _H_CAP), each

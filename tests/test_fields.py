@@ -352,3 +352,20 @@ class TestOmegaCondition:
     def test_index_range(self):
         with pytest.raises(FieldError):
             check_omega_condition(paper_g(), 2)
+
+    def test_sweep_refutes_on_its_finite_ratios(self):
+        # g = 2 x^60 - x^61: the ratio 2 x^59 - x^60 is not finite at the
+        # last two sweep points (inf - inf), yet negative past x = 2
+        G = PolyMap(1, [[(2.0, (60.0,)), (-1.0, (61.0,))]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(G(np.logspace(-6, 6, 25)[:, None])[:, 0]).all()
+        v = check_omega_condition(G, 0)
+        assert v.status == REFUTED
+        x = v.witness[0]
+        assert 2.0 < x < 1e6 and 2.0 * x ** 59 - x ** 60 < 0.0
+
+    def test_an_overflowing_end_decides_nothing(self):
+        # g = x^60 + x - 1e-300: the negative coefficient sends it to the
+        # sweep; its ratio is about 1 at the low end and infinite at the top
+        G = PolyMap(1, [[(1.0, (60.0,)), (1.0, (1.0,)), (-1e-300, (0.0,))]])
+        assert check_omega_condition(G, 0).status == UNDECIDED

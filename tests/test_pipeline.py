@@ -668,14 +668,18 @@ class TestCli:
         assert (i, j) == (0, 1) and len(x) == 2
         assert all(isinstance(v, float) and v > 0.0 for v in x)
 
-    def test_overflowing_omega_sweep_is_undecided(self, tmp_path):
+    def test_overflowing_omega_sweep_is_refuted(self, tmp_path):
         # g = 2 x^60 - x^61 has a negative coefficient, so the omega check
-        # sweeps x up to 1e6, where x^61 overflows: no point decides it
+        # sweeps x up to 1e6, where x^61 overflows; the finite ratios
+        # below, negative past x = 2, refute it, and the report says where
         obj = scalar_system([{"c": -1.0, "e": [60]}],
                             [{"c": 2.0, "e": [60]}, {"c": -1.0, "e": [61]}])
         code, report = self.run_report(tmp_path, obj)
         assert code == 1
-        assert report["structure"]["omega"]["0"]["status"] == "undecided"
+        omega = report["structure"]["omega"]["0"]
+        assert omega["status"] == "refuted"
+        (x,) = omega["witness"]
+        assert x > 2.0 and 2.0 * x ** 59 - x ** 60 < 0.0
 
     def test_field_overflowing_at_xi_has_infinite_margins(self, tmp_path, capsys):
         # f = -x^400 and g = x^400 / 2 overflow at xi = 10: the margins are
