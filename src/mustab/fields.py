@@ -71,12 +71,18 @@ class PolyMap:
         self._set_table(terms)
 
     @classmethod
-    def from_arrays(cls, n, k, E, C):
-        """The map with terms ``C[t] * x**E[t]`` in components ``k[t]``;
-        exponents are not checked."""
+    def from_arrays(cls, n, k, E, C, CK):
+        """The map with terms ``C[t] * x**E[t]`` in components ``k[t]``,
+        where CK is the CK of k and C; exponents are not checked.  A table
+        whose (k, E) rows strictly increase and whose coefficients are
+        nonzero is already merged and sorted, so it is kept as given."""
         F = cls.__new__(cls)
         F.n = int(n)
-        F._set_table(zip(zip(k.tolist(), map(tuple, E.tolist())), C.tolist()))
+        rows = list(zip(k.tolist(), E.tolist()))
+        if C.all() and all(a < b for a, b in zip(rows, rows[1:])):
+            F.k, F.E, F.C, F.CK = k, E, C, CK
+        else:
+            F._set_table(zip(((i, tuple(e)) for i, e in rows), C.tolist()))
         return F
 
     def _set_table(self, terms):
@@ -92,7 +98,7 @@ class PolyMap:
         self.C = np.array([c for _, c in table], dtype=float)
         self.CK = self.C[:, None] * (self.k[:, None] == np.arange(self.n))
 
-    @property
+    @cached_property
     def K(self):
         return (self.k[:, None] == np.arange(self.n)).astype(float)
 
@@ -259,10 +265,13 @@ def cooperative_signs(F: PolyMap) -> bool:
 def _sampled_jacobians(F: PolyMap, rng, off_diagonal) -> Verdict:
     """Refuted, with (i, j, x), at the first sampled x where entry (i, j) of
     F's Jacobian, off its diagonal if off_diagonal, is below -TOL_COOP."""
+    diagonal = np.diag_indices(F.n)
     for x in _sample_points(rng, F.n):
-        J = jacobian(F, x)
+        # the points are positive, so the unchecked Jacobian serves
+        J = field_and_jacobian(F, x)[1]
         if off_diagonal:
-            J = J - np.diag(np.diag(J))
+            # J_ii - J_ii, not 0: an infinite entry gives NaN, no witness
+            J[diagonal] -= J[diagonal]
         if J.min() < -TOL_COOP:
             i, j = np.unravel_index(np.argmin(J), J.shape)
             return Verdict(REFUTED, witness=(int(i), int(j), x.copy()))
@@ -310,8 +319,9 @@ def homogeneity_degree(F: PolyMap, r: DilationMap):
 
     For a monomial c*x^a in component i this holds iff
     sum_j a_j r_j == p + r_i, so the degree is read off the exponents.
-    Returns the shared p, or (NOT_HOMOGENEOUS, (component, monomial_index))
-    on the first violation.
+    Returns the shared p, or (NOT_HOMOGENEOUS, (component, term)) on the
+    first violation in the term table, the term as {"c": coeff, "e":
+    exponents}.
     """
     if len(r) != F.n:
         raise FieldError("dilation of length %d for an n=%d map" % (len(r), F.n))
@@ -321,8 +331,8 @@ def homogeneity_degree(F: PolyMap, r: DilationMap):
     cand = F.E @ rv - rv[F.k]
     bad = np.flatnonzero(np.abs(cand - cand[0]) > TOL_HOM)
     if len(bad):
-        t, i = int(bad[0]), int(F.k[bad[0]])
-        return (NOT_HOMOGENEOUS, (i, t - int(np.searchsorted(F.k, i))))
+        t = bad[0]
+        return (NOT_HOMOGENEOUS, (int(F.k[t]), {"c": float(F.C[t]), "e": F.E[t].tolist()}))
     p = float(cand[0])
     if p < -TOL_HOM:
         return (NOT_HOMOGENEOUS, None)

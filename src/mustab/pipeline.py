@@ -61,6 +61,10 @@ def _require(cond, path, msg):
         raise DocumentError("%s: %s" % (path, msg))
 
 
+# the least integer that float() rounds to inf, not to the largest float
+_FLOAT_END = 2 ** 1024 - 2 ** 970
+
+
 def _finite(v):
     """A JSON number that is a finite float: json reads 1e400 as inf and
     NaN as nan, an integer too large for a float would overflow, and true
@@ -88,7 +92,9 @@ def _term_fault(term, n):
     e, c = term["e"], term["c"]
     if not (isinstance(e, list) and len(e) == n):
         return ".e", "expected %d exponents" % n
-    if not all(_finite(v) and v >= 0 for v in e):
+    # the values of _finite(v) and v >= 0, in one comparison each: json
+    # makes no bool an int or a float, and compares an int exactly
+    if not all(type(v) in (int, float) and 0 <= v < _FLOAT_END for v in e):
         return ".e", "exponents must be finite nonnegative numbers"
     if not (_finite(c) and c != 0):
         return ".c", "coefficient must be a finite nonzero number"
@@ -124,23 +130,9 @@ class SystemDocument:
     phi0: np.ndarray
     xi: np.ndarray
     r_star: float
+    # the first 16 hex digits of the SHA-256 of the document's text
+    config_hash: str
     sim: dict = field(default_factory=dict)
-
-    def to_json_obj(self):
-        obj = {
-            "n": self.n,
-            "f": self.f.to_json(),
-            "g": self.g.to_json(),
-            "r": list(self.r.r),
-            "delay": self.delay_spec,
-            "mu": self.mu_spec,
-            "xi": self.xi.tolist(),
-            "r_star": self.r_star,
-            "history": {"phi0": self.phi0.tolist()},
-        }
-        if self.sim:
-            obj["sim"] = self.sim
-        return obj
 
     @property
     def t_start(self):
@@ -224,6 +216,7 @@ def parse_system(text: str) -> SystemDocument:
         phi0=np.asarray(hist["phi0"], dtype=float),
         xi=np.asarray(xi, dtype=float),
         r_star=float(r_star),
+        config_hash=hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:16],
         sim=dict(sim),
     )
     if sim:
@@ -254,12 +247,6 @@ class RunReport:
         }
 
 
-def _config_hash(doc: SystemDocument):
-    return hashlib.sha256(
-        json.dumps(doc.to_json_obj(), sort_keys=True).encode()
-    ).hexdigest()[:16]
-
-
 def run_pipeline(doc: SystemDocument, stages, seed=0):
     """Execute the requested stages in order.
 
@@ -281,7 +268,7 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
         "tool": "mustab",
         "version": __version__,
         "seed": int(seed),
-        "config_hash": _config_hash(doc),
+        "config_hash": doc.config_hash,
     }
     traj = None
     delay, mu = doc.delay, doc.mu

@@ -24,7 +24,7 @@ def transform_field(F: PolyMap, r: DilationMap) -> tuple[PolyMap, tuple]:
         raise FieldError("dilation of length %d for an n=%d map" % (len(r), F.n))
     rv = np.asarray(r.r)
     # b_j = a_j r_j, plus 1 - r_i on the term's own coordinate i
-    out = PolyMap.from_arrays(F.n, F.k, F.E * rv + F.K * (1.0 - rv), F.C)
+    out = PolyMap.from_arrays(F.n, F.k, F.E * rv + F.K * (1.0 - rv), F.C, F.CK)
     own = out.E[np.arange(len(out.k)), out.k]
     return out, tuple(sorted(set(out.k[own < 0].tolist())))
 

@@ -4,6 +4,7 @@ import hypothesis.extra.numpy as hnp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mustab import fields
 from mustab.fields import (
     CERTIFIED,
     REFUTED,
@@ -228,11 +229,44 @@ class TestCooperative:
         assert (i, j) == (0, 1)
         assert jacobian(F, x)[0, 1] < 0
 
-    def test_mixed_sign_can_stay_undecided(self):
+    def test_like_terms_merge_before_the_sign_rule(self):
         # -x1*x2 + 2*x1*x2 is cooperative but written with a negative term;
         # canonical merging resolves it before the check runs
         F = PolyMap(2, [[(-1.0, (1, 1)), (2.0, (1, 1))], [(1.0, (1, 0))]])
         assert check_cooperative(F).status == CERTIFIED
+
+    def test_mixed_sign_can_stay_undecided(self):
+        # f_1 = -5x1^3 + x2^3 - x1 x2^2 + x1^2 x2, f_2 = x1^3 - 5x2^3: the sign
+        # rule fails on -x1 x2^2, but df_1/dx2 = (x1 - x2)^2 + 2x2^2 and
+        # df_2/dx1 = 3x1^2 are positive, so none of the sampled points
+        # refutes, and undecided is all sampling can say
+        F = PolyMap(2, [[(-5.0, (3, 0)), (1.0, (0, 3)), (-1.0, (1, 2)), (1.0, (2, 1))],
+                        [(1.0, (3, 0)), (-5.0, (0, 3))]])
+        assert check_cooperative(F).status == UNDECIDED
+
+    def test_sampled_witness_is_the_checked_loops(self):
+        # the first sampled point where an entry of the checked Jacobian,
+        # less its diagonal, is below -TOL_COOP.  In the second map
+        # d/dx1 of 1e308 x1^2 overflows for x1 near 1 and above, and
+        # inf - inf on the diagonal makes the minimum NaN, which refutes
+        # nothing: the witness is a later point
+        maps = [PolyMap(2, [[(-1.0, (1, 1)), (0.5, (0, 2))], [(1.0, (1, 0))]]),
+                PolyMap(2, [[(1e308, (2, 0)), (-1.0, (1, 1))], [(1.0, (1, 0))]])]
+        skipped = 0
+        for F in maps:
+            for seed in range(5):
+                with np.errstate(all="ignore"):
+                    for t, x in enumerate(fields._sample_points(np.random.default_rng(seed), 2)):
+                        J = jacobian(F, x)
+                        J = J - np.diag(np.diag(J))
+                        if J.min() < -fields.TOL_COOP:
+                            break
+                    v = check_cooperative(F, rng=np.random.default_rng(seed))
+                skipped += t
+                i, j, w = v.witness
+                assert v.status == REFUTED and (i, j) == np.unravel_index(np.argmin(J), J.shape)
+                assert np.array_equal(w, x)
+        assert skipped > 0
 
 
 class TestNondecreasing:
@@ -274,10 +308,12 @@ class TestHomogeneity:
             assert np.allclose(lhs, rhs, rtol=1e-12)
 
     def test_violation_reports_witness(self):
-        F = PolyMap(2, [[(1.0, (3, 0)), (1.0, (1, 0))], [(1.0, (0, 2))]])
-        status, where = homogeneity_degree(F, DilationMap((1.0, 2.0)))
+        # the witness is the term itself, not its place in the sorted table:
+        # -x1^2 is f[0][0] in the document and third in the table
+        F = PolyMap(2, [[(-1.0, (2, 0)), (1.0, (0, 1)), (1.0, (0.5, 0.5))], [(1.0, (1, 0))]])
+        status, where = homogeneity_degree(F, DilationMap((1.0, 1.0)))
         assert status == NOT_HOMOGENEOUS
-        assert where == (0, 1)
+        assert where == (0, {"c": -1.0, "e": [2.0, 0.0]})
 
     def test_zero_map_rejected(self):
         with pytest.raises(FieldError):

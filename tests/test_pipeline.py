@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -97,9 +98,12 @@ class TestParseSystem:
             parse_system(json.dumps(obj))
 
     def test_serialization_round_trip(self):
+        # f and g written back by PolyMap.to_json parse to the same maps
         doc = parse_system(paper_text())
-        again = parse_system(json.dumps(doc.to_json_obj()))
-        assert again.to_json_obj() == doc.to_json_obj()
+        obj = json.loads(paper_text())
+        obj["f"], obj["g"] = doc.f.to_json(), doc.g.to_json()
+        again = parse_system(json.dumps(obj))
+        assert again.f == doc.f and again.g == doc.g
 
 
 class TestRunPipeline:
@@ -181,9 +185,16 @@ class TestRunPipeline:
         report, _, _ = run_pipeline(doc, ["check"], seed=7)
         assert report.provenance["seed"] == 7
         assert len(report.provenance["config_hash"]) == 16
-        # hash is a function of the document alone
+        # hash is a function of the document alone: its text's SHA-256
+        assert report.provenance["config_hash"] == \
+            hashlib.sha256(paper_text().encode()).hexdigest()[:16]
         report2, _, _ = run_pipeline(parse_system(paper_text()), ["check"])
         assert report2.provenance["config_hash"] == report.provenance["config_hash"]
+        # one coefficient changed in text written alike changes the hash
+        obj = json.loads(paper_text())
+        same = parse_system(json.dumps(obj)).config_hash
+        obj["f"][0][0]["c"] += 0.5
+        assert parse_system(json.dumps(obj)).config_hash != same
 
 
 class TestEmitOutputs:

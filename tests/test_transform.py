@@ -51,6 +51,23 @@ class TestTransformField:
         F = PolyMap(2, [[], [(1.0, (a, 0.0)), (2.0, (np.nextafter(a, 4.0), 0.0))]])
         fbar, _ = transform_field(F, DilationMap((0.3, 1.0)))
         assert fbar == PolyMap(2, [[], [(3.0, (a * 0.3, 0.0))]])
+        # 1 and u = 1 + 2**-52 both map to 0.5 * a_1 + 0.5 = 1 under r_1 = 0.5
+        u = 1.0 + 2.0 ** -52
+        F = PolyMap(2, [[(2.0, (1.0, 0.0)), (-1.0, (u, 0.0))], []])
+        fbar, _ = transform_field(F, DilationMap((0.5, 1.0)))
+        assert fbar.E.tolist() == [[1.0, 0.0]] and fbar.C.tolist() == [1.0]
+        assert np.array_equal(fbar.CK, [[1.0, 0.0]])
+
+    def test_terms_that_round_into_a_tie_reorder(self):
+        # (1, 2) sorts before (u, 1), but u's row rounds to (1, 1), which
+        # sorts before (1, 2): the transformed table must be sorted again
+        u = 1.0 + 2.0 ** -52
+        F = PolyMap(2, [[(-1.0, (1.0, 2.0)), (2.0, (u, 1.0))], []])
+        assert F.E.tolist() == [[1.0, 2.0], [u, 1.0]]
+        fbar, _ = transform_field(F, DilationMap((0.5, 1.0)))
+        assert fbar.E.tolist() == [[1.0, 1.0], [1.0, 2.0]]
+        assert fbar.C.tolist() == [2.0, -1.0]
+        assert np.array_equal(fbar.CK, [[2.0, 0.0], [-1.0, 0.0]])
 
     def test_paper_gbar_exact_with_flag(self):
         gbar, flags = transform_field(paper_g(), R12)
@@ -62,14 +79,20 @@ class TestTransformField:
         assert flags == (1,)
 
     def test_exponents_match_per_term_formula(self):
-        # b_j = a_j r_j for j != i and b_i = a_i r_i + (1 - r_i), bit for bit
+        # b_j = a_j r_j for j != i and b_i = a_i r_i + (1 - r_i), bit for bit,
+        # and the table (with CK) the one merging and sorting those terms
+        # gives, whether the transform keeps F's order or sorts again:
+        # exponents on a grid, which repeat, and weights that include 0.5
         rng = np.random.default_rng(8)
-        for n in (1, 2, 4):
-            r = DilationMap(tuple(rng.uniform(0.3, 3.0, size=n)))
-            comps = [
-                [(rng.normal(), tuple(rng.uniform(0.0, 3.0, size=n))) for _ in range(4)]
-                for _ in range(n)
-            ]
+        cases = [(n, False) for n in (1, 2, 4)] + [(n, True) for n in range(1, 7)] * 20
+        for n, grid in cases:
+            if grid:
+                r = DilationMap(tuple(rng.choice([0.5, 1.0, 1.5, 2.0, 0.3], size=n)))
+                draw = lambda: tuple(rng.integers(0, 7, size=n) / 2.0)
+            else:
+                r = DilationMap(tuple(rng.uniform(0.3, 3.0, size=n)))
+                draw = lambda: tuple(rng.uniform(0.0, 3.0, size=n))
+            comps = [[(rng.normal(), draw()) for _ in range(4)] for _ in range(n)]
             expect = []
             for i, terms in enumerate(comps):
                 rows = []
@@ -79,7 +102,9 @@ class TestTransformField:
                     rows.append((c, b))
                 expect.append(rows)
             fbar, _ = transform_field(PolyMap(n, comps), r)
-            assert fbar == PolyMap(n, expect, allow_negative_exponents=True)
+            merged = PolyMap(n, expect, allow_negative_exponents=True)
+            for name in ("k", "E", "C", "CK"):
+                assert np.array_equal(getattr(fbar, name), getattr(merged, name))
 
     def test_quotient_oracle(self):
         # definition check: fbar_i(z) == f_i(z^r) / z_i^(r_i - 1)
