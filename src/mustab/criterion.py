@@ -30,6 +30,7 @@ from .rates import (
     PowerMu,
     ProportionalDelay,
     RateError,
+    power_or_inf,
 )
 
 ANALYTIC = "analytic"
@@ -67,7 +68,7 @@ def _analytic_L(mu, delay):
             return 1.0
     if isinstance(delay, ProportionalDelay):
         if isinstance(mu, PowerMu):
-            return float(delay.q ** (-mu.beta))
+            return power_or_inf(delay.q, -mu.beta)
         if isinstance(mu, (LogMu, LogLogMu)):
             return 1.0
         if isinstance(mu, ExponentialMu):

@@ -64,10 +64,14 @@ values rounds as the plain numpy expression would.  f and g are evaluated
 on their nonzero exponents alone (fields.fast_evaluator), bitwise their
 dense tables.  A trial's lookups are one pass of bisect and Horner's rule
 on floats (Trajectory.lookup_rows).  A RODAS4 trial's stage rows are one
-product of (1, 1/h, h) with _ROWS4.  W = I/(gamma h) - J is inverted by
-the LAPACK gufunc that np.linalg.inv wraps, called without that wrapper's
-checks.  A NaN fails every test as under numpy's reductions (_extreme),
-and a singular W gives a NaN inverse, so a NaN state: a rejection.
+product of (1, 1/h, h) with _ROWS4, and each stage one product of its two
+rows with the stack of the stages before it, indexed, not unpacked; its
+state is clamped in place, f's value there takes the forcing in place,
+and W^-1 times that is written into the stack.  W = I/(gamma h) - J is
+inverted by the LAPACK gufunc that np.linalg.inv wraps, called without
+that wrapper's checks.  A NaN fails every test as under numpy's
+reductions (_extreme), and a singular W gives a NaN inverse, so a NaN
+state: a rejection.
 """
 
 from __future__ import annotations
@@ -116,6 +120,9 @@ _X_FLOOR = 1e-300
 _H_CAP = 0.1
 # the identity matrix of each size, made once and shared: never written
 _identity = lru_cache()(np.eye)
+# the stages' clamp bound: a 0-d array, which numpy takes as it is, where a
+# float operand is converted on every call
+_ZERO = np.zeros(())
 # the tolerances of the error norm err that may lengthen the policy's
 # step, and the most a step may grow over the last one
 _RTOL = 1e-7
@@ -406,13 +413,21 @@ def rodas4_step(x, F0, J, G, Ft, h, f_eval):
     # zeros: a stage's rows are 0 on the stages not yet made
     U = np.zeros((11, len(x)))
     U[5], U[6:10], U[10] = x, G, Ft
-    U[0] = Winv.dot(F0 + (_GAMMA4 * h) * Ft)
+    F = (_GAMMA4 * h) * Ft
+    F += F0
+    np.dot(Winv, F, out=U[0])
     for i in range(4):
-        y, q = rows[i].dot(U)
-        U[i + 1] = Winv.dot(f_eval(np.maximum(y, 0.0)) + q)
-    y, q = rows[4].dot(U)
-    u6 = Winv.dot(f_eval(np.maximum(y, 0.0)) + q)
-    return y + u6, u6
+        yq = rows[i].dot(U)
+        y = yq[0]
+        F = f_eval(np.maximum(y, _ZERO, out=y))
+        F += yq[1]
+        np.dot(Winv, F, out=U[i + 1])
+    # the last stage's state, unclamped, is the new state's base
+    yq = rows[4].dot(U)
+    F = f_eval(np.maximum(yq[0], _ZERO))
+    F += yq[1]
+    u6 = Winv.dot(F)
+    return yq[0] + u6, u6
 
 
 class _Breakpoints:
@@ -646,7 +661,9 @@ def fit_rate(traj: Trajectory, mu: MuFunction):
     """Least-squares slope of ln x_j against ln mu(t) on the trailing
     _FIT_WINDOW of log time; the certified decay x_j = O(mu**(-r_j/r_star)) shows
     up as slope <= -r_j/r_star; a ln mu or ln x_j that is not finite in the
-    window is a SimulationError naming mu."""
+    window, or a ln mu that does not vary there (a rank-deficient fit, such
+    as a tabulated mu flat over the window), is a SimulationError naming
+    mu."""
     t_lo = max(traj.ts[0], 1e-12)
     lo_ln, hi_ln = np.log(t_lo), np.log(traj.ts[-1])
     cut = np.exp(lo_ln + (1.0 - _FIT_WINDOW) * (hi_ln - lo_ln))
@@ -658,11 +675,20 @@ def fit_rate(traj: Trajectory, mu: MuFunction):
     lnx = np.log(traj.xs[mask])
     if not (np.isfinite(lnmu).all() and np.isfinite(lnx).all()):
         raise SimulationError("mu: ln mu(t) or ln x(t) is not finite in the fit window")
+    # polyfit squares ln mu, which underflows for a ln mu such as 1e-298,
+    # and LAPACK then fails: the fit is on ln mu scaled by the power of two
+    # 2^-k that brings its largest magnitude into [0.5, 1), exactly, which
+    # leaves the slopes of a ln mu whose squares are normal floats bitwise
+    k = math.frexp(float(np.max(np.abs(lnmu))))[1]
+    scaled = np.ldexp(lnmu, -k)
     slopes = np.empty(traj.n)
     intercepts = np.empty(traj.n)
     for j in range(traj.n):
-        slope, intercept = np.polyfit(lnmu, lnx[:, j], 1)
-        slopes[j] = slope
+        # full=True returns the rank in place of polyfit's warning
+        (slope, intercept), _, rank, _, _ = np.polyfit(scaled, lnx[:, j], 1, full=True)
+        if rank < 2:
+            raise SimulationError("mu: ln mu(t) does not vary in the fit window")
+        slopes[j] = math.ldexp(slope, -k)
         intercepts[j] = intercept
     return slopes, intercepts
 

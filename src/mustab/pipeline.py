@@ -247,12 +247,28 @@ class RunReport:
         }
 
 
+class _LazyRng:
+    """np.random.default_rng(seed), made when a sampled check first draws
+    and serving every later draw: a run whose checks are all symbolic
+    never imports numpy.random."""
+
+    def __init__(self, seed):
+        self.seed, self.rng = seed, None
+
+    def uniform(self, *args, **kwargs):
+        if self.rng is None:
+            self.rng = np.random.default_rng(self.seed)
+        return self.rng.uniform(*args, **kwargs)
+
+
 def run_pipeline(doc: SystemDocument, stages, seed=0):
     """Execute the requested stages in order.
 
     Returns (report, trajectory, exit_code); exit code 0 when every
     requested verdict is certified/passed, 1 otherwise.  Stage dependency
-    violations raise DocumentError (exit code 2 at the CLI).
+    violations and a seed that is not a nonnegative integer raise
+    DocumentError (exit code 2 at the CLI).  The sampled structure checks
+    draw, in order, from one generator of the seed.
     """
     stages = set(stages)
     unknown = stages - set(STAGES)
@@ -261,8 +277,12 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
     for stage, dep in _DEPS.items():
         if stage in stages and dep not in stages:
             raise DocumentError("stages: %r requires %r" % (stage, dep))
+    # the generator is made at the first draw, if any, so its own check of
+    # the seed would come late or never
+    _require(isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+             and seed >= 0, "seed", "expected a nonnegative integer, got %r" % (seed,))
 
-    rng = np.random.default_rng(seed)
+    rng = _LazyRng(seed)
     report = RunReport()
     report.provenance = {
         "tool": "mustab",

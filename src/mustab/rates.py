@@ -15,6 +15,14 @@ class RateError(ValueError):
     pass
 
 
+def power_or_inf(a, b):
+    """a ** b on floats, inf where it overflows, as numpy's power gives."""
+    try:
+        return a ** b
+    except OverflowError:
+        return np.inf
+
+
 def _edge_slope(h0, h1, m0, m1):
     """One-sided three-point slope at an end knot, kept shape-preserving
     (scipy's ``PchipInterpolator._edge_case``)."""
@@ -314,7 +322,7 @@ class PowerLagDelay(DelayFunction):
         return t ** self.alpha
 
     def d_inverse(self, b):
-        return b ** (1.0 / self.alpha)
+        return power_or_inf(b, 1.0 / self.alpha)
 
 
 class TabulatedDelay(DelayFunction):

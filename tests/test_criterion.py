@@ -90,6 +90,12 @@ class TestAnalyticLimits:
         pair = compute_limits(LogLogMu(), LogFractionDelay(), 0.5, 1.0)
         assert (pair.method, pair.L, pair.D) == (ANALYTIC, 1.0, 0.0)
 
+    def test_power_gauge_under_a_tiny_proportional_factor_diverges(self):
+        # L = q^(-beta) = 1e600 is past the largest float: inf, as numpy's
+        # power would give, not an OverflowError
+        pair = compute_limits(PowerMu(2.0), ProportionalDelay(1e-300), 0.0, 1.0)
+        assert (pair.method, pair.L) == (ANALYTIC, np.inf)
+
     def test_exp_with_proportional_diverges(self):
         pair = compute_limits(ExponentialMu(0.1), ProportionalDelay(0.5), 0.0, 1.0)
         assert np.isinf(pair.L)

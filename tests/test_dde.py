@@ -418,6 +418,36 @@ class TestRodas4:
                 for a, w in zip(got, want):
                     assert np.abs(a - w).max() <= 8.0 * np.spacing(top)
 
+    def test_in_place_stages_are_bitwise_the_plain_ones(self):
+        # the stage loop clamps each stage's state and adds its forcing in
+        # place; the same arithmetic on fresh arrays gives the same bits
+        def plain(x, F0, J, G, Ft, h, f_eval):
+            Winv = dde._inv(np.eye(len(x)) / (dde._GAMMA4 * h) - J)
+            rows = np.dot((1.0, 1.0 / h, h), dde._ROWS4).reshape(5, 2, 11)
+            U = np.zeros((11, len(x)))
+            U[5], U[6:10], U[10] = x, G, Ft
+            U[0] = Winv.dot(F0 + (dde._GAMMA4 * h) * Ft)
+            for i in range(1, 6):
+                y, q = rows[i - 1].dot(U)
+                u = Winv.dot(f_eval(np.maximum(y, 0.0)) + q)
+                if i < 5:
+                    U[i] = u
+            return y + u, u
+
+        rng = np.random.default_rng(26)
+        for n in range(1, 7):
+            for _ in range(50):
+                f, _ = random_stable_linear_metzler(rng, n)
+                J = f(np.eye(n)).T
+                # states near 0 and long steps drive stage states negative
+                x = 10.0 ** rng.uniform(-8.0, 0.0, n)
+                G = rng.uniform(0.0, 1.0, (4, n))
+                h = 10.0 ** rng.uniform(-3.0, 2.0)
+                Ft = rng.uniform(-1.0, 1.0, n)
+                args = (x, f(x) + G[3], J, G, Ft, h, f)
+                for a, w in zip(dde.rodas4_step(*args), plain(*args)):
+                    assert np.array_equal(a, w)
+
     def test_stage_rows_are_the_three_parts_summed(self):
         # one product of (1, 1/h, h) with the stacked parts, bitwise the
         # sum of the fixed part and those scaled by 1/h and by h
@@ -1186,6 +1216,21 @@ class TestFitRate:
         traj = self.synthetic(0.0)
         slopes, _ = fit_rate(traj, LogMu())
         assert slopes[0] == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("k", [-1000, 600])
+    def test_log_gauge_scaled_by_a_power_of_two(self, k):
+        # ln mu scaled by 2^k, whose squares underflow to 0 (k = -1000) or
+        # overflow (k = 600) in polyfit: the slopes scale by 2^-k exactly,
+        # and the intercepts are the same
+        class Scaled(LogMu):
+            def log_value(self, t):
+                return np.ldexp(super().log_value(t), k)
+
+        traj = self.synthetic(1.5)
+        slopes, intercepts = fit_rate(traj, LogMu())
+        scaled, scaled_intercepts = fit_rate(traj, Scaled())
+        assert scaled[0] == math.ldexp(slopes[0], -k)
+        assert scaled_intercepts[0] == intercepts[0]
 
     def test_too_few_usable_nodes(self):
         t = np.linspace(1.0, 2.0, 5)

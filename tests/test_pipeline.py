@@ -12,6 +12,7 @@ import pytest
 from mustab import pipeline
 from mustab.cli import main as cli_main
 from mustab.dde import SimConfig
+from mustab.fields import check_cooperative, check_nondecreasing, check_omega_condition
 from mustab.pipeline import (
     DocumentError,
     emit_outputs,
@@ -130,6 +131,42 @@ class TestRunPipeline:
         doc = parse_system(paper_text())
         with pytest.raises(DocumentError, match="unknown"):
             run_pipeline(doc, ["explode"])
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "1", None, -1])
+    def test_bad_seed_is_named_before_any_stage(self, seed, monkeypatch):
+        # the reference's checks are symbolic and never draw, so the seed is
+        # checked up front, not by the generator
+        def stage_ran(*args, **kwargs):
+            raise AssertionError("a stage ran")
+        monkeypatch.setattr(pipeline, "check_cooperative", stage_ran)
+        doc = parse_system(paper_text())
+        with pytest.raises(DocumentError, match=r"^seed: expected a nonnegative integer"):
+            run_pipeline(doc, ["check"], seed=seed)
+
+    def test_numpy_integer_seed(self):
+        report, _, _ = run_pipeline(parse_system(paper_text()), ["check"], seed=np.int64(7))
+        assert report.provenance["seed"] == 7
+
+    def test_sampled_checks_draw_from_one_generator(self):
+        # f has a negative cross term, and each row of g a negative
+        # coefficient of its own variable, so cooperativity, monotonicity and
+        # both omega conditions are decided on sampled points: the witnesses
+        # are those of the checks called in that order on one generator
+        obj = json.loads(paper_text())
+        obj["f"][0][1]["c"] = -2.0
+        obj["g"] = [[{"c": 1.0, "e": [1, 1]}, {"c": -0.5, "e": [2, 1]}],
+                    [{"c": 2.0, "e": [4, 0]}, {"c": -1.0, "e": [0, 3]}]]
+        doc = parse_system(json.dumps(obj))
+        for seed in (0, 5):
+            s = run_pipeline(doc, ["check"], seed=seed)[0].structure
+            rng = np.random.default_rng(seed)
+            want = [check_cooperative(doc.f, rng=rng), check_nondecreasing(doc.g, rng=rng),
+                    check_omega_condition(doc.g, 0, rng=rng),
+                    check_omega_condition(doc.g, 1, rng=rng)]
+            got = [s.cooperative, s.nondecreasing, s.omega[0], s.omega[1]]
+            for g, w in zip(got, want):
+                assert g.status == w.status == "refuted"
+                assert pipeline._strict(g.witness) == pipeline._strict(w.witness)
 
     def test_short_simulation_with_fit(self):
         doc = parse_system(small_doc(sim={"t_start": np.e, "t_end": 500.0}))
@@ -712,6 +749,71 @@ class TestCli:
         err = self.run_failing_simulation(tmp_path, capsys, mu={"family": "exp", "eps": 1e308})
         assert err.startswith("error: mu: ")
 
+    def test_powerlag_breakpoint_overflow_is_inf(self, tmp_path, capfd):
+        # alpha = 1e-9 puts the breakpoint after t = 20 at 20^(1e9), past the
+        # largest float: none is made, and the run goes on.  L = 1/alpha =
+        # 1e9 makes the margin positive, so the verdict is inconclusive
+        obj = scalar_system([{"c": -1.0, "e": [1]}], [{"c": 0.5, "e": [1]}],
+                            delay={"family": "powerlag", "alpha": 1e-9},
+                            mu={"family": "log"}, sim={"t_start": 20.0, "t_end": 40.0})
+        doc_path = tmp_path / "sys.json"
+        doc_path.write_text(json.dumps(obj))
+        code, out = self.run_cli(tmp_path, "all", "--input", str(doc_path))
+        assert code == 1
+        assert capfd.readouterr().err == ""
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+        assert report["criterion"]["verdict"] == "INCONCLUSIVE"
+        assert report["simulation"]["t_end"] == 40.0
+
+    @pytest.mark.parametrize("mu", [{"family": "exp", "eps": 1e-300},
+                                    {"family": "power", "beta": 1e-300}])
+    def test_tiny_log_gauge_is_fitted(self, tmp_path, capfd, mu):
+        # ln mu(t) is about 1e-298 over the fit window, whose squares
+        # underflow: the fit on it scaled by a power of two calls LAPACK on
+        # well-scaled data, and no DLASCL line reaches stderr
+        obj = scalar_system([{"c": -1.0, "e": [1]}], [{"c": 0.5, "e": [1]}],
+                            mu=mu, sim={"t_start": 1.0, "t_end": 100.0})
+        doc_path = tmp_path / "sys.json"
+        doc_path.write_text(json.dumps(obj))
+        code, out = self.run_cli(tmp_path, "all", "--input", str(doc_path))
+        assert code == 0
+        assert capfd.readouterr().err == ""
+        with open(os.path.join(out, "report.json")) as fh:
+            (slope,) = json.load(fh)["simulation"]["slopes"]
+        if mu["family"] == "exp":
+            # x decays like e^(lambda t), lambda = -1 + e^(-lambda)/2 = -0.315
+            assert slope * 1e-300 == pytest.approx(-0.3149, rel=1e-2)
+        else:
+            assert slope < -1e299
+
+    def test_gauge_flat_over_the_fit_window_exits_two(self, tmp_path, capfd):
+        # the tabulated mu is 3 on [10, 1e4], and the fit window is [49, 200]:
+        # ln mu does not vary, so no slope is fitted, and polyfit's
+        # RankWarning does not reach stderr
+        t = [1.0, 10.0, 1e3, 1e4, 1e5, 1e6]
+        obj = scalar_system([{"c": -1.0, "e": [1]}], [{"c": 0.5, "e": [1]}],
+                            mu={"family": "table", "t": t, "mu": [2.0, 3.0, 3.0, 3.0, 4.0, 40.0]},
+                            sim={"t_start": 12.0, "t_end": 200.0})
+        doc_path = tmp_path / "sys.json"
+        doc_path.write_text(json.dumps(obj))
+        code, _ = self.run_cli(tmp_path, "all", "--input", str(doc_path))
+        assert code == 2
+        assert capfd.readouterr().err == "error: mu: ln mu(t) does not vary in the fit window\n"
+
+    def test_power_gauge_under_a_tiny_proportional_factor(self, tmp_path, capfd):
+        # L = q^(-beta) = 1e600 overflows a float: L is inf, so the margin is,
+        # and the verdict is inconclusive
+        obj = scalar_system([{"c": -1.0, "e": [1]}], [{"c": 0.5, "e": [1]}],
+                            delay={"family": "proportional", "q": 1e-300},
+                            mu={"family": "power", "beta": 2.0})
+        code, report = self.run_report(tmp_path, obj)
+        assert code == 1
+        assert capfd.readouterr().err == ""
+        assert report["criterion"]["verdict"] == "INCONCLUSIVE"
+        assert report["criterion"]["L"] == "inf"
+        assert report["criterion"]["margins"] == ["inf"]
+
     def test_f_not_homogeneous_skips_the_transform(self, tmp_path):
         obj = json.loads(paper_text())
         obj["f"][0][1]["e"] = [1.5, 1]
@@ -751,11 +853,23 @@ class TestCli:
 
 
 class TestImportFootprint:
-    def loaded_scipy_modules(self, script):
+    def last_line(self, script):
+        """The last line that script prints in a fresh interpreter."""
         path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
-        return out.stdout.strip()
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_symbolic_checks_never_import_numpy_random(self, tmp_path):
+        # every structure check of the reference is symbolic, so no
+        # generator is made and numpy.random is never imported
+        script = (
+            "import sys\n"
+            "from mustab import cli\n"
+            "code = cli.main(['all', '--input', %r, '--out', %r])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        ) % (PAPER_DOC, str(tmp_path / "out"))
+        assert self.last_line(script) == "0 False"
 
     def test_closed_form_document_never_loads_scipy(self):
         # the reference document must get through a fresh interpreter
@@ -768,7 +882,7 @@ class TestImportFootprint:
             "mustab.pipeline.run_pipeline(doc, ['check', 'transform', 'criterion'])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         ) % PAPER_DOC
-        assert self.loaded_scipy_modules(script) == "[]"
+        assert self.last_line(script) == "[]"
 
     def test_tabulated_document_never_loads_scipy(self, tmp_path):
         # the tabulated gauge and delay are numpy only, through every stage
@@ -787,7 +901,7 @@ class TestImportFootprint:
             "                             mu=mustab.rates.make_mu(doc.mu_spec))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         ) % (text, str(tmp_path / "out"))
-        assert self.loaded_scipy_modules(script) == "[]"
+        assert self.last_line(script) == "[]"
 
     def test_reference_run_never_loads_numpy_ma(self, tmp_path):
         # numpy.ma takes about 6 ms to import, which every run would pay;
@@ -802,4 +916,4 @@ class TestImportFootprint:
             "mustab.pipeline.emit_outputs(report, traj, %r, mu=doc.mu)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
         ) % (PAPER_DOC, str(tmp_path / "out"))
-        assert self.loaded_scipy_modules(script) == "[]"
+        assert self.last_line(script) == "[]"

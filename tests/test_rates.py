@@ -125,6 +125,12 @@ class TestDelayFamilies:
         with pytest.raises(RateError):
             d.tau(0.5)
 
+    def test_powerlag_breakpoint_past_the_largest_float_is_inf(self):
+        # 20 ** 1e9 overflows a float: the next breakpoint is inf, as
+        # numpy's power would give, not an OverflowError
+        assert PowerLagDelay(1e-9).d_inverse(20.0) == np.inf
+        assert PowerLagDelay(0.5).d_inverse(20.0) == 400.0
+
     def test_delay_is_unbounded_for_unbounded_families(self):
         for d in (ProportionalDelay(0.5), LogFractionDelay(), PowerLagDelay(0.5)):
             lo = max(d.t_min, 10.0)
