@@ -40,6 +40,8 @@ TOL_ROUND = 1e-12
 # search_xi's coordinate sweeps at most, and the factors it tries on each weight
 _SWEEPS = 16
 _FACTORS = (0.5, 0.8, 1.25, 2.0)
+# the unit roundoff u of criterion_margins' rounding bound
+_U = np.finfo(float).eps / 2.0
 
 STABLE_CERTIFIED = "STABLE_CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -148,7 +150,7 @@ def criterion_margins(fbar: PolyMap, gbar: PolyMap, xi, r: DilationMap,
     for the rounded exponent.
     """
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi <= 0):
+    if (xi <= 0).any():
         raise FieldError("xi must be strictly positive")
     r_star = float(r_star)
     # [()] keeps one pair's L a float64 scalar: numpy's array power may
@@ -168,10 +170,9 @@ def criterion_margins(fbar: PolyMap, gbar: PolyMap, xi, r: DilationMap,
         # no certificate rests on limits that far out of range
         ok = np.isfinite(L + D + Lfac)[..., None] & np.isfinite(m)
         fa, ga = Pf.dot(np.abs(fbar.CK)) / xi, Pg.dot(np.abs(gbar.CK)) / xi
-        u = np.finfo(float).eps / 2.0
         k = 3 * fbar.n + len(fbar.C) + len(gbar.C) + 8 + 2.0 * np.abs(np.log(Lfac))
         S = w * (fa + Lfac[..., None] * ga) + np.abs(D)[..., None]
-        bound = (k * u / (1.0 - k * u))[..., None] * S
+        bound = (k * _U / (1.0 - k * _U))[..., None] * S
     if not ok.all():
         m[~ok] = np.inf
     return m, bound

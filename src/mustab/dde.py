@@ -120,9 +120,10 @@ _X_FLOOR = 1e-300
 _H_CAP = 0.1
 # the identity matrix of each size, made once and shared: never written
 _identity = lru_cache()(np.eye)
-# the stages' clamp bound: a 0-d array, which numpy takes as it is, where a
-# float operand is converted on every call
+# the clamp bounds 0 and _X_FLOOR as 0-d arrays, which numpy takes as they
+# are, where a float operand is converted on every call
 _ZERO = np.zeros(())
+_FLOOR = np.array(_X_FLOOR)
 # the tolerances of the error norm err that may lengthen the policy's
 # step, and the most a step may grow over the last one
 _RTOL = 1e-7
@@ -276,7 +277,7 @@ class Trajectory:
                     t0, t1, k_coeffs = times[k - 1], times[k], k
                     coeffs = self.cubics[k - 1].T.tolist()
                 values += _horner(coeffs, (d - t0) / (t1 - t0))
-        return np.maximum(np.array(values).reshape(len(ds), -1), 0.0)
+        return np.maximum(np.array(values).reshape(len(ds), -1), _ZERO)
 
     def _interval(self, d):
         """k such that nodes k - 1 and k bound the interval of a time d past
@@ -312,7 +313,7 @@ def _growth_bound(J, metzler):
         # does for n <= 6, down to the sign of a zero row
         rows = [sum(row) for row in J.tolist()]
     else:
-        rows = (np.add.reduce(np.abs(J), axis=1) + 2.0 * np.minimum(J.diagonal(), 0.0)).tolist()
+        rows = (np.add.reduce(np.abs(J), axis=1) + 2.0 * np.minimum(J.diagonal(), _ZERO)).tolist()
     # a non-finite J gives a non-finite row, but so may a finite J's overflow
     if not math.isfinite(sum(rows)) and not np.isfinite(J).all():
         return None
@@ -344,9 +345,9 @@ def rodas3_step(x, F0, J, G1, Ft, h, f_eval):
     # stages 3 and 4 share G(t + h) + (u1 - u2)/h
     q = G1 + (u1 - u2) / h
     y3 = x + 2.0 * u1
-    u3 = Winv.dot(f_eval(np.maximum(y3, 0.0)) + q)
+    u3 = Winv.dot(f_eval(np.maximum(y3, _ZERO)) + q)
     y4 = y3 + u3
-    u4 = Winv.dot(f_eval(np.maximum(y4, 0.0)) + q - (8.0 / 3.0 / h) * u3)
+    u4 = Winv.dot(f_eval(np.maximum(y4, _ZERO)) + q - (8.0 / 3.0 / h) * u3)
     return y4 + u4, u4
 
 
@@ -558,7 +559,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                         if longer:
                             if lo < 0.0:
                                 # the amount projected away counts in the estimate
-                                u4_new = np.abs(u4_new) - np.minimum(x_new, 0.0)
+                                u4_new = np.abs(u4_new) - np.minimum(x_new, _ZERO)
                             err_new = _err_norm(u4_new, scale_new)
                             accept = err_new <= 1.0
                         else:
@@ -572,7 +573,7 @@ def simulate(f: PolyMap, g: PolyMap, delay: DelayFunction,
                             cause = "field"
                             if lo < _X_FLOOR:
                                 # projected, and raised to the floor
-                                x_new = np.maximum(x_new, _X_FLOOR)
+                                x_new = np.maximum(x_new, _FLOOR)
                             F_new, J_new = _field_jacobian(f, f_eval, x_new, max(lo, _X_FLOOR))
                             F_new += G1
                             if all(map(math.isfinite, F_new.tolist())):
@@ -661,9 +662,9 @@ def fit_rate(traj: Trajectory, mu: MuFunction):
     """Least-squares slope of ln x_j against ln mu(t) on the trailing
     _FIT_WINDOW of log time; the certified decay x_j = O(mu**(-r_j/r_star)) shows
     up as slope <= -r_j/r_star; a ln mu or ln x_j that is not finite in the
-    window, or a ln mu that does not vary there (a rank-deficient fit, such
-    as a tabulated mu flat over the window), is a SimulationError naming
-    mu."""
+    window, or a ln mu that varies there by no more than rounding (no
+    line is determined, as for a tabulated mu flat over the window), is a
+    SimulationError naming mu."""
     t_lo = max(traj.ts[0], 1e-12)
     lo_ln, hi_ln = np.log(t_lo), np.log(traj.ts[-1])
     cut = np.exp(lo_ln + (1.0 - _FIT_WINDOW) * (hi_ln - lo_ln))
@@ -675,22 +676,21 @@ def fit_rate(traj: Trajectory, mu: MuFunction):
     lnx = np.log(traj.xs[mask])
     if not (np.isfinite(lnmu).all() and np.isfinite(lnx).all()):
         raise SimulationError("mu: ln mu(t) or ln x(t) is not finite in the fit window")
-    # polyfit squares ln mu, which underflows for a ln mu such as 1e-298,
-    # and LAPACK then fails: the fit is on ln mu scaled by the power of two
-    # 2^-k that brings its largest magnitude into [0.5, 1), exactly, which
-    # leaves the slopes of a ln mu whose squares are normal floats bitwise
+    # the fit squares ln mu's deviations from their mean, which underflow
+    # for a ln mu such as 1e-298: it is on ln mu scaled by the power of two
+    # 2^-k that brings its largest magnitude into [0.5, 1), exactly, and
+    # the slopes are scaled back by 2^-k
     k = math.frexp(float(np.max(np.abs(lnmu))))[1]
     scaled = np.ldexp(lnmu, -k)
-    slopes = np.empty(traj.n)
-    intercepts = np.empty(traj.n)
-    for j in range(traj.n):
-        # full=True returns the rank in place of polyfit's warning
-        (slope, intercept), _, rank, _, _ = np.polyfit(scaled, lnx[:, j], 1, full=True)
-        if rank < 2:
-            raise SimulationError("mu: ln mu(t) does not vary in the fit window")
-        slopes[j] = math.ldexp(slope, -k)
-        intercepts[j] = intercept
-    return slopes, intercepts
+    # a ln mu flat to within its rounding fixes no slope
+    if np.ptp(scaled) <= len(scaled) * np.finfo(float).eps:
+        raise SimulationError("mu: ln mu(t) does not vary in the fit window")
+    # the least-squares line of every component at once, in the closed
+    # form about the means
+    xm, ym = scaled.mean(), lnx.mean(axis=0)
+    xc = scaled - xm
+    slopes = xc.dot(lnx - ym) / xc.dot(xc)
+    return np.ldexp(slopes, -k), ym - slopes * xm
 
 
 def write_csv(path, cols, data):

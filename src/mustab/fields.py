@@ -258,8 +258,8 @@ def cooperative_signs(F: PolyMap) -> bool:
     """Whether F's sign pattern makes its Jacobian Metzler on the open
     positive orthant: every monomial of component i that depends on x_j
     (j != i) has nonnegative coefficient."""
-    cross = np.any((F.E > 0) & (F.K == 0), axis=1)
-    return not np.any((F.C < 0) & cross)
+    cross = ((F.E > 0) & (F.K == 0)).any(axis=1)
+    return not ((F.C < 0) & cross).any()
 
 
 def _sampled_jacobians(F: PolyMap, rng, off_diagonal) -> Verdict:
@@ -291,7 +291,7 @@ def check_cooperative(F: PolyMap, rng=None) -> Verdict:
 
 def check_nondecreasing(G: PolyMap, rng=None) -> Verdict:
     """Componentwise monotonicity of G on the nonnegative orthant."""
-    if np.all(G.C >= 0):
+    if (G.C >= 0).all():
         return Verdict(CERTIFIED)
     return _sampled_jacobians(G, rng or np.random.default_rng(1), False)
 
@@ -358,7 +358,7 @@ def check_omega_condition(G: PolyMap, i, rng=None) -> Verdict:
     if not 0 <= i < G.n:
         raise FieldError("component index %d out of range" % i)
     own = G.k == i
-    if np.all(G.C[own] > 0):
+    if (G.C[own] > 0).all():
         a = G.E[own, i].tolist()
         if not a:
             return Verdict(REFUTED, witness={"end": "0", "exponents": []})

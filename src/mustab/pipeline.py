@@ -8,11 +8,21 @@ analysis settings, so a report is reproducible from the file alone.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass, field
+
+# CPython's own SHA-256, which loads no shared library, in place of
+# OpenSSL's, whose libcrypto adds about 3.6 MB to a run's peak memory
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        # a CPython built without its own hashes has only OpenSSL's
+        from hashlib import sha256
 
 import numpy as np
 
@@ -216,7 +226,7 @@ def parse_system(text: str) -> SystemDocument:
         phi0=np.asarray(hist["phi0"], dtype=float),
         xi=np.asarray(xi, dtype=float),
         r_star=float(r_star),
-        config_hash=hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:16],
+        config_hash=sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:16],
         sim=dict(sim),
     )
     if sim:

@@ -191,9 +191,9 @@ class TabulatedMu(MuFunction):
             raise RateError("tabulated mu needs >= 4 (t, mu) samples")
         if not (np.isfinite(times).all() and np.isfinite(values).all()):
             raise RateError("tabulated mu samples must be finite")
-        if np.any(np.diff(times) <= 0):
+        if (np.diff(times) <= 0).any():
             raise RateError("tabulated mu times must be strictly increasing")
-        if np.any(values <= 0) or np.any(np.diff(values) < 0):
+        if (values <= 0).any() or (np.diff(values) < 0).any():
             raise RateError("tabulated mu must be positive and nondecreasing")
         # unboundedness cannot be checked from a finite table; require the
         # last decade of samples to still be trending up
@@ -335,9 +335,9 @@ class TabulatedDelay(DelayFunction):
             raise RateError("tabulated delay needs >= 4 (t, tau) samples")
         if not (np.isfinite(times).all() and np.isfinite(taus).all()):
             raise RateError("tabulated delay samples must be finite")
-        if np.any(np.diff(times) <= 0):
+        if (np.diff(times) <= 0).any():
             raise RateError("tabulated delay times must be strictly increasing")
-        if np.any(taus < 0):
+        if (taus < 0).any():
             raise RateError("tabulated delay must be nonnegative")
         # d(t) = t - tau(t) is itself a cubic on each interval: t = x[k] + s
         c0, c1, c2, c3 = _pchip(times, taus)

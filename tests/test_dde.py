@@ -23,7 +23,9 @@ from mustab.dde import (
 from mustab.fields import DilationMap, PolyMap
 from mustab.rates import (
     BoundedDelay,
+    ExponentialMu,
     LogFractionDelay,
+    LogLogMu,
     LogMu,
     PowerLagDelay,
     PowerMu,
@@ -1232,6 +1234,28 @@ class TestFitRate:
         assert scaled[0] == math.ldexp(slopes[0], -k)
         assert scaled_intercepts[0] == intercepts[0]
 
+    @pytest.mark.parametrize("mu", [ExponentialMu(1e-3), PowerMu(0.7), LogMu(), LogLogMu()],
+                             ids=lambda mu: mu.family)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_with_polyfit_on_noisy_power_laws(self, mu, n):
+        # x_j = e^(a_j) mu^(-c_j) times seeded noise: the closed-form line
+        # of each component is numpy's least-squares line of degree 1
+        rng = np.random.default_rng([n, *mu.family.encode()])
+        t = np.exp(np.linspace(0.0, 8.0, 300))
+        lnmu = mu.log_value(t)
+        c = rng.uniform(0.2, 2.0, n)
+        a = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        lnx = a - np.outer(lnmu, c) + rng.normal(0.0, 0.05, (len(t), n))
+        traj = Trajectory(t, np.exp(lnx), np.zeros((len(t), n)))
+        slopes, intercepts = fit_rate(traj, mu)
+        # the trailing half of log time from t = 1
+        window = t >= np.exp(4.0)
+        assert window.sum() > 100
+        for j in range(n):
+            slope, intercept = np.polyfit(lnmu[window], lnx[window, j], 1)
+            assert slopes[j] == pytest.approx(slope, rel=1e-12, abs=0.0)
+            assert intercepts[j] == pytest.approx(intercept, rel=1e-12, abs=0.0)
+
     def test_too_few_usable_nodes(self):
         t = np.linspace(1.0, 2.0, 5)
         traj = Trajectory(t, np.ones((5, 1)), np.zeros((5, 1)))
@@ -1251,6 +1275,34 @@ def test_dde_does_not_import_criterion():
         else:
             continue
         assert not any(name.split(".")[-1] == "criterion" for name in names)
+
+
+def test_readme_lists_the_simulation_failures():
+    # each message that simulate and fit_rate raise as a SimulationError
+    # is one line of README's list of the exit-2 simulation failures, and
+    # that list holds no other
+    tree = ast.parse(Path(dde.__file__).read_text())
+    raised = set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("simulate", "fit_rate"):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and getattr(node.exc.func, "id", None) == "SimulationError"):
+                    msg = node.exc.args[0]
+                    if isinstance(msg, ast.BinOp):
+                        msg = msg.left
+                    raised.add(msg.value)
+    assert len(raised) == 6
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    head = "The simulation failures, each a `SimulationError`:\n\n"
+    assert head in readme
+    listed = []
+    for line in readme.split(head, 1)[1].splitlines():
+        if not line.startswith("- "):
+            break
+        assert line.startswith("- `error: ") and line.endswith("`")
+        listed.append(line[len("- `error: "):-1])
+    assert sorted(listed) == sorted(raised)
 
 
 class TestExport:

@@ -233,6 +233,18 @@ class TestRunPipeline:
         obj["f"][0][0]["c"] += 0.5
         assert parse_system(json.dumps(obj)).config_hash != same
 
+    @pytest.mark.parametrize("value", ["\u00e9 \u2211 \U0001d707", "\ud800"],
+                             ids=["non-ascii", "lone-surrogate"])
+    def test_config_hash_beyond_ascii(self, value):
+        # a string under "n" that the document's own "n" replaces, so the
+        # text stays a valid document: it is hashed as UTF-8 with a lone
+        # surrogate passed through, as by hashlib
+        text = '{"n": %s, %s' % (json.dumps(value, ensure_ascii=False),
+                                 paper_text().lstrip()[1:])
+        assert value in text
+        assert parse_system(text).config_hash == \
+            hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:16]
+
 
 class TestEmitOutputs:
     def test_files_and_keys(self, tmp_path):
@@ -868,6 +880,17 @@ class TestImportFootprint:
             "from mustab import cli\n"
             "code = cli.main(['all', '--input', %r, '--out', %r])\n"
             "print(code, 'numpy.random' in sys.modules)\n"
+        ) % (PAPER_DOC, str(tmp_path / "out"))
+        assert self.last_line(script) == "0 False"
+
+    def test_reference_run_never_loads_openssl(self, tmp_path):
+        # config_hash is taken by CPython's own SHA-256: hashlib's would
+        # load OpenSSL's libcrypto, about 3.6 MB of the run's peak memory
+        script = (
+            "import sys\n"
+            "from mustab import cli\n"
+            "code = cli.main(['all', '--input', %r, '--out', %r])\n"
+            "print(code, '_hashlib' in sys.modules)\n"
         ) % (PAPER_DOC, str(tmp_path / "out"))
         assert self.last_line(script) == "0 False"
 
