@@ -65,7 +65,8 @@ class LimitPair:
 def _analytic_L(mu, delay):
     if isinstance(delay, BoundedDelay):
         if isinstance(mu, ExponentialMu):
-            return float(np.exp(mu.eps * delay.tau_max))
+            with np.errstate(over="ignore"):
+                return float(np.exp(mu.eps * delay.tau_max))
         if isinstance(mu, (PowerMu, LogMu, LogLogMu)):
             return 1.0
     if isinstance(delay, ProportionalDelay):
@@ -157,8 +158,9 @@ def criterion_margins(fbar: PolyMap, gbar: PolyMap, xi, r: DilationMap,
     # round it one ulp off libm's, and so move a reported margin
     L = np.asarray(limits.L, dtype=float)[()]
     D = np.asarray(limits.D, dtype=float)[()]
-    w = r_star / np.asarray(r.r)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a weight r_star / r_j that overflows makes its margin infinite
+        w = r_star / np.asarray(r.r)
         # one power table per map, taken as PolyMap.__call__ takes it, serves
         # its value at xi, bitwise the map's, and the sum of its terms'
         # absolute values for the bound
@@ -183,7 +185,7 @@ def certifies(margins, bounds):
     bound_j the rounding bound of criterion_margins, row-wise for 2-D
     arrays.  The one negativity test of the margins; a margin of -inf
     with an infinite bound does not certify."""
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.logical_and.reduce(np.asarray(margins) + bounds < 0.0, axis=-1)
 
 

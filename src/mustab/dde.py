@@ -690,7 +690,9 @@ def fit_rate(traj: Trajectory, mu: MuFunction):
     xm, ym = scaled.mean(), lnx.mean(axis=0)
     xc = scaled - xm
     slopes = xc.dot(lnx - ym) / xc.dot(xc)
-    return np.ldexp(slopes, -k), ym - slopes * xm
+    with np.errstate(over="ignore"):
+        # a slope scaled back past the largest float is infinite
+        return np.ldexp(slopes, -k), ym - slopes * xm
 
 
 def write_csv(path, cols, data):

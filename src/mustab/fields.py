@@ -266,15 +266,17 @@ def _sampled_jacobians(F: PolyMap, rng, off_diagonal) -> Verdict:
     """Refuted, with (i, j, x), at the first sampled x where entry (i, j) of
     F's Jacobian, off its diagonal if off_diagonal, is below -TOL_COOP."""
     diagonal = np.diag_indices(F.n)
-    for x in _sample_points(rng, F.n):
-        # the points are positive, so the unchecked Jacobian serves
-        J = field_and_jacobian(F, x)[1]
-        if off_diagonal:
-            # J_ii - J_ii, not 0: an infinite entry gives NaN, no witness
-            J[diagonal] -= J[diagonal]
-        if J.min() < -TOL_COOP:
-            i, j = np.unravel_index(np.argmin(J), J.shape)
-            return Verdict(REFUTED, witness=(int(i), int(j), x.copy()))
+    # a Jacobian entry that overflows is infinite, or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in _sample_points(rng, F.n):
+            # the points are positive, so the unchecked Jacobian serves
+            J = field_and_jacobian(F, x)[1]
+            if off_diagonal:
+                # J_ii - J_ii, not 0: an infinite entry gives NaN, no witness
+                J[diagonal] -= J[diagonal]
+            if J.min() < -TOL_COOP:
+                i, j = np.unravel_index(np.argmin(J), J.shape)
+                return Verdict(REFUTED, witness=(int(i), int(j), x.copy()))
     return Verdict(UNDECIDED)
 
 
@@ -328,8 +330,10 @@ def homogeneity_degree(F: PolyMap, r: DilationMap):
     if F.is_zero():
         raise FieldError("homogeneity degree of the zero map is undefined")
     rv = np.asarray(r.r)
-    cand = F.E @ rv - rv[F.k]
-    bad = np.flatnonzero(np.abs(cand - cand[0]) > TOL_HOM)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cand = F.E @ rv - rv[F.k]
+        # a term whose weighted exponent sum overflows has no degree
+        bad = np.flatnonzero(~(np.abs(cand - cand[0]) <= TOL_HOM))
     if len(bad):
         t = bad[0]
         return (NOT_HOMOGENEOUS, (int(F.k[t]), {"c": float(F.C[t]), "e": F.E[t].tolist()}))

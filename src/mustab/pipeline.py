@@ -400,7 +400,9 @@ def run_pipeline(doc: SystemDocument, stages, seed=0):
         slopes, intercepts = fit_rate(traj, mu)
         report.simulation["slopes"] = slopes.tolist()
         report.simulation["intercepts"] = intercepts.tolist()
-        bound = -np.asarray(doc.r.r) / doc.r_star + 0.1
+        with np.errstate(over="ignore"):
+            # -inf where r_j / r_star overflows: no slope is below it
+            bound = -np.asarray(doc.r.r) / doc.r_star + 0.1
         report.stage_pass["fit"] = bool(np.all(slopes <= bound))
 
     code = 0 if all(report.stage_pass.get(s, True) for s in stages) else 1

@@ -161,6 +161,7 @@ class LogMu(MuFunction):
         return 1.0 / (1.0 + np.asarray(t, dtype=float))
 
     def log_value(self, t):
+        self._check_t(t)
         return np.log(np.log1p(np.asarray(t, dtype=float)))
 
 

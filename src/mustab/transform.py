@@ -82,15 +82,13 @@ def verify_lemma1(F: PolyMap, r: DilationMap, p, trials=200, rng=None, tol=1e-9)
 
 def verify_lemma2(F: PolyMap, r: DilationMap, trials=200, rng=None, tol=1e-12):
     """For cooperative F: pinning one coordinate, fbar_i is monotone in the
-    others."""
+    others.  Draws the points Z, then every trial's pinned coordinate, then
+    every trial's shrink factors W / Z, each in one call."""
     fbar, _ = transform_field(F, r)
     rng = rng or np.random.default_rng(11)
     Z = _sample_points(rng, F.n, trials, 1e-2, 1e2)
-    own = np.empty(trials, dtype=int)
-    W = np.empty_like(Z)
-    for t, z in enumerate(Z):
-        own[t] = rng.integers(F.n)
-        W[t] = z * rng.uniform(0.0, 1.0, size=F.n)
+    own = rng.integers(F.n, size=trials)
+    W = Z * rng.uniform(0.0, 1.0, size=Z.shape)
     rows = np.arange(trials)
     W[rows, own] = Z[rows, own]
     bad = np.flatnonzero(eval_field(fbar, Z)[rows, own] < eval_field(fbar, W)[rows, own] - tol)

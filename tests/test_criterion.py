@@ -96,6 +96,12 @@ class TestAnalyticLimits:
         pair = compute_limits(PowerMu(2.0), ProportionalDelay(1e-300), 0.0, 1.0)
         assert (pair.method, pair.L) == (ANALYTIC, np.inf)
 
+    def test_exp_gauge_over_a_huge_bounded_delay_diverges(self):
+        # L = e^(eps tau) = e^(1e291) is past the largest float: inf, with
+        # no overflow warning
+        pair = compute_limits(ExponentialMu(1e-9), BoundedDelay(1e300), 0.0, 1.0)
+        assert (pair.method, pair.L) == (ANALYTIC, np.inf)
+
     def test_exp_with_proportional_diverges(self):
         pair = compute_limits(ExponentialMu(0.1), ProportionalDelay(0.5), 0.0, 1.0)
         assert np.isinf(pair.L)
@@ -280,6 +286,14 @@ class TestMargins:
                                  LimitPair(3e15, 0.0, "pointwise"))
         assert np.all(np.isinf(m))
 
+    def test_overflowing_weight_gives_infinite_margins(self):
+        # r_star / r_j = 1e300 / 1e-300 is past the largest float
+        fbar, gbar, _ = paper_transformed()
+        r = DilationMap((1e-300, 1.0))
+        m, _ = criterion_margins(fbar, gbar, np.ones(2), r, 1e300, 2.0,
+                                 LimitPair(1.0, 0.0, ANALYTIC))
+        assert m[0] == np.inf
+
     def test_xi_must_be_positive(self):
         fbar, gbar, r = paper_transformed()
         with pytest.raises(Exception):
@@ -352,6 +366,8 @@ class TestCertifies:
         assert not certifies(np.array([-4.0, np.nan]), b)
         assert not certifies(np.array([-4.0, -1.0]), np.array([0.0, np.nan]))
         assert not certifies(np.array([-4.0, -np.inf]), np.array([0.0, np.inf]))
+        # a finite margin and bound whose sum overflows
+        assert not certifies(np.array([-4.0, 1e308]), np.array([1e-15, 1e308]))
 
     def test_row_wise(self):
         m = np.array([[-4.0, -1.0], [-4.0, np.inf], [-np.inf, -2e-15], [1.0, -1.0]])

@@ -1221,9 +1221,10 @@ class TestFitRate:
 
     @pytest.mark.parametrize("k", [-1000, 600])
     def test_log_gauge_scaled_by_a_power_of_two(self, k):
-        # ln mu scaled by 2^k, whose squares underflow to 0 (k = -1000) or
-        # overflow (k = 600) in polyfit: the slopes scale by 2^-k exactly,
-        # and the intercepts are the same
+        # ln mu scaled by 2^k, whose squared deviations would underflow to 0
+        # (k = -1000) or overflow (k = 600) in the closed-form line: the fit
+        # runs on ln mu scaled back into [0.5, 1) by a power of two, so the
+        # slopes scale by 2^-k exactly, and the intercepts are the same
         class Scaled(LogMu):
             def log_value(self, t):
                 return np.ldexp(super().log_value(t), k)
@@ -1233,6 +1234,16 @@ class TestFitRate:
         scaled, scaled_intercepts = fit_rate(traj, Scaled())
         assert scaled[0] == math.ldexp(slopes[0], -k)
         assert scaled_intercepts[0] == intercepts[0]
+
+    def test_slope_past_the_float_range_is_infinite(self):
+        # ln mu scaled by 2^-1030: the slope -1.5 * 2^1030 is past the
+        # largest float, and is -inf with no overflow warning
+        class Scaled(LogMu):
+            def log_value(self, t):
+                return np.ldexp(super().log_value(t), -1030)
+
+        slopes, _ = fit_rate(self.synthetic(1.5), Scaled())
+        assert slopes[0] == -np.inf
 
     @pytest.mark.parametrize("mu", [ExponentialMu(1e-3), PowerMu(0.7), LogMu(), LogLogMu()],
                              ids=lambda mu: mu.family)

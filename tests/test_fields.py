@@ -269,9 +269,21 @@ class TestCooperative:
         assert skipped > 0
 
 
+    def test_overflowing_jacobian_warns_of_nothing(self):
+        # d/dx1 of 1e308 x1^2 overflows at most sampled points, and the
+        # diagonal's inf - inf is NaN: no overflow or invalid warning
+        F = PolyMap(2, [[(1e308, (2, 0)), (-1.0, (1, 1))], [(1.0, (1, 0))]])
+        assert check_cooperative(F).status == REFUTED
+
+
 class TestNondecreasing:
     def test_paper_g_certified(self):
         assert check_nondecreasing(paper_g()).status == CERTIFIED
+
+    def test_overflowing_jacobian_warns_of_nothing(self):
+        # 2e308 x - 1 overflows where x >= 1, and is negative below 5e-309
+        G = PolyMap(1, [[(1e308, (2.0,)), (-1.0, (1.0,))]])
+        assert check_nondecreasing(G).status == UNDECIDED
 
     def test_decreasing_refuted(self):
         G = PolyMap(1, [[(-1.0, (2.0,))]])
@@ -318,6 +330,16 @@ class TestHomogeneity:
     def test_zero_map_rejected(self):
         with pytest.raises(FieldError):
             homogeneity_degree(PolyMap(1, [[]]), DilationMap((1.0,)))
+
+    def test_overflowing_exponent_sum_has_no_degree(self):
+        # sum_j a_j r_j overflows: the term has no float degree, whether
+        # it is the only term or another term has a degree
+        F = PolyMap(1, [[(1.0, (1e308,))]])
+        assert homogeneity_degree(F, DilationMap((2.0,))) == (
+            NOT_HOMOGENEOUS, (0, {"c": 1.0, "e": [1e308]}))
+        F = PolyMap(2, [[(1.0, (1, 0))], [(1.0, (1e308, 1e308))]])
+        assert homogeneity_degree(F, DilationMap((1.0, 1.0))) == (
+            NOT_HOMOGENEOUS, (1, {"c": 1.0, "e": [1e308, 1e308]}))
 
 
 class TestOmegaCondition:

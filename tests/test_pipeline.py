@@ -120,6 +120,15 @@ class TestRunPipeline:
         # carried as a flag on the certificate
         assert "gbar-negative-exponent:1" in report.criterion.hypothesis_flags
 
+    def test_slope_bound_past_the_float_range_fails_the_fit(self):
+        # the bound -r / r_star + 0.1 = -1e600 overflows: it is -inf, which
+        # no fitted slope is below, and no overflow warning
+        obj = scalar_system([{"c": -1.0, "e": [1]}], [{"c": 0.5, "e": [1]}],
+                            r=[1e300], r_star=1e-300)
+        report, _, code = run_pipeline(parse_system(json.dumps(obj)), ["simulate", "fit"])
+        assert report.stage_pass == {"simulate": True, "fit": False}
+        assert code == 1
+
     def test_dependency_violation(self):
         doc = parse_system(paper_text())
         with pytest.raises(DocumentError, match="requires"):
@@ -801,8 +810,8 @@ class TestCli:
 
     def test_gauge_flat_over_the_fit_window_exits_two(self, tmp_path, capfd):
         # the tabulated mu is 3 on [10, 1e4], and the fit window is [49, 200]:
-        # ln mu does not vary, so no slope is fitted, and polyfit's
-        # RankWarning does not reach stderr
+        # ln mu varies there by no more than rounding, so the closed-form
+        # line fixes no slope, and the run exits 2 with one line on stderr
         t = [1.0, 10.0, 1e3, 1e4, 1e5, 1e6]
         obj = scalar_system([{"c": -1.0, "e": [1]}], [{"c": 0.5, "e": [1]}],
                             mu={"family": "table", "t": t, "mu": [2.0, 3.0, 3.0, 3.0, 4.0, 40.0]},

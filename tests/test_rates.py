@@ -59,6 +59,13 @@ class TestMuFamilies:
         with pytest.raises(RateError):
             LogMu().value(-1.0)
 
+    def test_every_method_rejects_negative_time(self):
+        # log_value too: LogMu's once returned nan with a RuntimeWarning
+        for mu in (ExponentialMu(0.3), PowerMu(1.7), LogMu(), LogLogMu()):
+            for method in (mu.value, mu.derivative, mu.log_value):
+                with pytest.raises(RateError, match="t >= 0"):
+                    method(-0.5)
+
 
 class TestTabulatedMu:
     def test_interpolates_samples(self):

@@ -1,7 +1,7 @@
 import numpy as np
 
 from mustab.fields import CERTIFIED, DilationMap, PolyMap, Verdict, eval_field
-from mustab.fields import check_omega_condition
+from mustab.fields import _sample_points, check_omega_condition
 from mustab.transform import (
     build_transformed_system,
     transform_field,
@@ -200,19 +200,27 @@ class TestLemmaSuitesAgainstLoops:
         F = PolyMap(2, [[(1.0, (0, 1)), (-1.0, (0, 2))], [(1.0, (1, 0))]])
         rng = np.random.default_rng(14)
         Z = suite_points(rng, 100, 2)
+        # every trial's pinned coordinate first, then every trial's factors
+        own = [int(rng.integers(2)) for _ in Z]
         draws = []
-        for z in Z:
-            i = int(rng.integers(2))
+        for z, i in zip(Z, own):
             w = z * rng.uniform(0.0, 1.0, size=2)
             w[i] = z[i]
             draws.append((i, w))
         first = next(t for t, (i, w) in enumerate(draws)
                      if eval_field(F, Z[t])[i] < eval_field(F, w)[i] - 1e-12)
         assert first > 0
-        rep = verify_lemma2(F, DilationMap((1.0, 1.0)), trials=100, rng=np.random.default_rng(14))
+        gen = np.random.default_rng(14)
+        rep = verify_lemma2(F, DilationMap((1.0, 1.0)), trials=100, rng=gen)
         i, z, w = rep.witness
         assert i == draws[first][0]
         assert np.array_equal(z, Z[first]) and np.array_equal(w, draws[first][1])
+        # two bulk draws after the points, and nothing more
+        twin = np.random.default_rng(14)
+        _sample_points(twin, 2, 100, 1e-2, 1e2)
+        twin.integers(2, size=100)
+        twin.uniform(size=(100, 2))
+        assert gen.random() == twin.random()
 
     def test_lemma3(self):
         G = PolyMap(2, [[(1.0, (1, 0)), (1.0, (0, 1)), (-1.0, (0, 2))], [(1.0, (0, 1))]])
